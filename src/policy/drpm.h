@@ -39,6 +39,8 @@ class DrpmPolicy : public PowerPolicy {
   DrpmParams params_;
   Simulator* sim_ = nullptr;
   ArrayController* array_ = nullptr;
+  Counter* obs_rpm_ups_ = nullptr;
+  Counter* obs_rpm_downs_ = nullptr;
 };
 
 }  // namespace hib

@@ -28,6 +28,11 @@ void MaidPolicy::Attach(Simulator* sim, ArrayController* array) {
     capacity_extents_ = static_cast<std::int64_t>(array->num_cache_disks()) *
                         (array->params().disk.TotalSectors() / array->params().extent_sectors);
   }
+  MetricsRegistry& metrics = sim_->obs().metrics;
+  obs_cache_hits_ = &metrics.GetCounter("policy.maid_cache_hits");
+  obs_cache_misses_ = &metrics.GetCounter("policy.maid_cache_misses");
+  obs_copies_started_ = &metrics.GetCounter("policy.maid_copies_started");
+  obs_spin_downs_ = &metrics.GetCounter("policy.spin_down_decisions");
 
   // Reads for cached extents are redirected to their cache disk; the
   // physical sector on the cache disk is immaterial to the timing model, so
@@ -36,11 +41,11 @@ void MaidPolicy::Attach(Simulator* sim, ArrayController* array) {
     int cache_disk = LookupCache(extent);
     if (cache_disk >= 0) {
       ++cache_hits_;
-      HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.maid_cache_hits"));
+      HIB_COUNTER_INC(obs_cache_hits_);
       return cache_disk;
     }
     ++cache_misses_;
-    HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.maid_cache_misses"));
+    HIB_COUNTER_INC(obs_cache_misses_);
     return intended_disk;
   });
 
@@ -80,7 +85,7 @@ void MaidPolicy::InsertCache(std::int64_t extent) {
   lru_.push_front(extent);
   resident_[extent] = CacheEntry{cache_disk, lru_.begin()};
   ++copies_started_;
-  HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.maid_copies_started"));
+  HIB_COUNTER_INC(obs_copies_started_);
 
   // Background copy-in: one streaming write of the extent image.  (The read
   // side already happened — the demand miss fetched the data.)
@@ -105,7 +110,7 @@ void MaidPolicy::Poll() {
     Disk& disk = array_->disk(i);
     if (disk.FullyIdle() && sim_->Now() - disk.last_activity() >= threshold_ms_) {
       if (disk.SpinDown()) {
-        HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.spin_down_decisions"));
+        HIB_COUNTER_INC(obs_spin_downs_);
         HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "spin-down",
                           sim_->Now(), i, static_cast<double>(i));
       }

@@ -68,6 +68,11 @@ class MaidPolicy : public PowerPolicy {
   std::int64_t cache_hits_ = 0;
   std::int64_t cache_misses_ = 0;
   std::int64_t copies_started_ = 0;
+
+  Counter* obs_cache_hits_ = nullptr;
+  Counter* obs_cache_misses_ = nullptr;
+  Counter* obs_copies_started_ = nullptr;
+  Counter* obs_spin_downs_ = nullptr;
 };
 
 }  // namespace hib

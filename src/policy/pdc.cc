@@ -24,6 +24,8 @@ void PdcPolicy::Attach(Simulator* sim, ArrayController* array) {
   array_ = array;
   threshold_ms_ = params_.idle_threshold_ms > Duration{} ? params_.idle_threshold_ms
                                                   : TpmBreakEvenMs(array->params().disk);
+  obs_migrations_ = &sim_->obs().metrics.GetCounter("policy.migrations_requested");
+  obs_spin_downs_ = &sim_->obs().metrics.GetCounter("policy.spin_down_decisions");
   sim_->SchedulePeriodic(params_.reorg_period_ms, params_.reorg_period_ms,
                          [this] { Reorganize(); });
   sim_->SchedulePeriodic(params_.poll_period_ms, params_.poll_period_ms, [this] { Poll(); });
@@ -45,7 +47,7 @@ void PdcPolicy::Reorganize() {
     int target = static_cast<int>(static_cast<std::int64_t>(rank) / per_group);
     if (layout.GroupOf(extent) != target) {
       array_->RequestMigration(extent, target);
-      HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.migrations_requested"));
+      HIB_COUNTER_INC(obs_migrations_);
       --budget;
     }
   }
@@ -59,7 +61,7 @@ void PdcPolicy::Poll() {
     Disk& disk = array_->disk(i);
     if (disk.FullyIdle() && sim_->Now() - disk.last_activity() >= threshold_ms_) {
       if (disk.SpinDown()) {
-        HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.spin_down_decisions"));
+        HIB_COUNTER_INC(obs_spin_downs_);
         HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "spin-down",
                           sim_->Now(), i, static_cast<double>(i));
       }

@@ -44,6 +44,8 @@ class PdcPolicy : public PowerPolicy {
   Duration threshold_ms_;
   Simulator* sim_ = nullptr;
   ArrayController* array_ = nullptr;
+  Counter* obs_migrations_ = nullptr;
+  Counter* obs_spin_downs_ = nullptr;
 };
 
 }  // namespace hib

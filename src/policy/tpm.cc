@@ -25,6 +25,7 @@ void TpmPolicy::Attach(Simulator* sim, ArrayController* array) {
   array_ = array;
   threshold_ms_ = params_.idle_threshold_ms > Duration{} ? params_.idle_threshold_ms
                                                   : TpmBreakEvenMs(array->params().disk);
+  obs_spin_downs_ = &sim_->obs().metrics.GetCounter("policy.spin_down_decisions");
   sim_->SchedulePeriodic(params_.poll_period_ms, params_.poll_period_ms, [this] { Poll(); });
 }
 
@@ -35,7 +36,7 @@ void TpmPolicy::Poll() {
     Disk& disk = array_->disk(i);
     if (disk.FullyIdle() && sim_->Now() - disk.last_activity() >= threshold_ms_) {
       if (disk.SpinDown()) {
-        HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.spin_down_decisions"));
+        HIB_COUNTER_INC(obs_spin_downs_);
         HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "spin-down",
                           sim_->Now(), i, static_cast<double>(i));
       }

@@ -48,6 +48,7 @@ class TpmPolicy : public PowerPolicy {
   Duration threshold_ms_;
   Simulator* sim_ = nullptr;
   ArrayController* array_ = nullptr;
+  Counter* obs_spin_downs_ = nullptr;
 };
 
 }  // namespace hib

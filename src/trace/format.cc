@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <utility>
@@ -80,39 +81,161 @@ SectorAddr NextPow2(SectorAddr v) {
   return p;
 }
 
-// Peak arrival rate over any sliding 1-second window of the sorted records.
-double PeakWindowIops(const std::vector<TraceRecord>& records) {
-  double peak = 0.0;
-  std::size_t lo = 0;
-  for (std::size_t hi = 0; hi < records.size(); ++hi) {
-    while (records[hi].time - records[lo].time >= Seconds(1.0)) {
-      ++lo;
-    }
-    peak = std::max(peak, static_cast<double>(hi - lo + 1));
-  }
-  return peak;
-}
+// Caps lba + count when the header gets NextPow2(max_lba_end), keeping it finite.
+constexpr SectorAddr kMaxInferredSpace = SectorAddr{1} << 62;
+// Output reserved from a source's hints (~21 B/record on the zoo workloads);
+// reserve that is never written costs no resident memory.
+constexpr double kReserveBytesPerRecord = 24.0;
+constexpr double kMaxReserveBytes = double{1 << 30};
 
-TraceStats ComputeStats(const std::vector<TraceRecord>& records) {
-  TraceStats s;
-  s.records = static_cast<std::int64_t>(records.size());
-  if (records.empty()) {
-    return s;
+// The one HIBT writer.  Each time-ordered record is validated, folded into
+// the footer stats and encoded into the current block; full blocks are sealed
+// straight into *out.  Finish() puts the header and block index in front and
+// appends the footer, so memory is the output plus one block of scratch.
+class TraceEncoder {
+ public:
+  TraceEncoder(std::string* out, const TraceCompileOptions& options, double expected_records)
+      : out_(out), rpb_(options.records_per_block), space_(options.address_space_sectors) {
+    HIB_CHECK(out != nullptr);
+    HIB_CHECK_GT(rpb_, 0);
+    out_->clear();
+    const double reserve = std::min(expected_records * kReserveBytesPerRecord, kMaxReserveBytes);
+    if (reserve > 0.0) {  // false for a NaN or negative hint
+      out_->reserve(static_cast<std::size_t>(reserve));
+    }
   }
-  s.min_lba = std::numeric_limits<std::int64_t>::max();
-  for (const TraceRecord& r : records) {
-    (r.is_write ? s.writes : s.reads) += 1;
-    s.total_sectors += r.count;
-    s.min_lba = std::min(s.min_lba, r.lba);
-    s.max_lba_end = std::max(s.max_lba_end, r.lba + r.count);
+
+  // Encodes the next record.  Returns null, or the diagnostic prefix (to be
+  // followed by the record's index) when `r` is invalid or earlier than its
+  // predecessor; the encoder must not be used after that.
+  const char* Add(const TraceRecord& r) {
+    const std::uint64_t bits = TimeBits(r.time);
+    if (bits >= kInfTimeBits) {
+      return "non-finite or negative timestamp in record ";
+    }
+    const SectorAddr space = space_ > 0 ? space_ : kMaxInferredSpace;
+    if (r.lba < 0 || r.count < 1 || r.count > std::numeric_limits<std::uint32_t>::max() ||
+        r.lba > space - r.count) {
+      return "lba/count outside the address space in record ";
+    }
+    if (r.stream < 0 || r.stream > std::numeric_limits<std::uint16_t>::max()) {
+      return "stream id outside [0, 65535] in record ";
+    }
+    // Value and bit-image order agree for finite nonnegative doubles.
+    if (stats_.records > 0 && bits < prev_bits_) {
+      return "timestamp earlier than its predecessor in record ";
+    }
+
+    if (stats_.records == 0) {
+      stats_.first_time = r.time;
+      stats_.min_lba = r.lba;
+    }
+    ++stats_.records;
+    (r.is_write ? stats_.writes : stats_.reads) += 1;
+    stats_.total_sectors += r.count;
+    stats_.min_lba = std::min(stats_.min_lba, r.lba);
+    stats_.max_lba_end = std::max(stats_.max_lba_end, r.lba + r.count);
+    stats_.last_time = r.time;
+    // Peak arrival rate over any sliding 1-second window.
+    window_.push_back(r.time);
+    while (r.time - window_.front() >= Seconds(1.0)) {
+      window_.pop_front();
+    }
+    stats_.peak_iops = std::max(stats_.peak_iops, static_cast<double>(window_.size()));
+
+    if (in_block_ == 0) {
+      base_bits_ = bits;
+    } else {
+      PutVarint(&deltas_, bits - prev_bits_);
+    }
+    prev_bits_ = bits;
+    Put<std::int64_t>(&fixed_, r.lba);
+    Put<std::uint32_t>(&fixed_, static_cast<std::uint32_t>(r.count));
+    Put<std::uint16_t>(&fixed_, static_cast<std::uint16_t>(r.stream));
+    Put<std::uint8_t>(&fixed_, r.is_write ? 1 : 0);
+    Put<std::uint8_t>(&fixed_, 0);
+    if (++in_block_ == rpb_) {
+      Seal();
+    }
+    return nullptr;
   }
-  s.first_time = records.front().time;
-  s.last_time = records.back().time;
-  s.peak_iops = PeakWindowIops(records);
-  double span_s = ToSeconds(s.last_time);
-  s.mean_iops = span_s > 0.0 ? static_cast<double>(s.records) / span_s : s.peak_iops;
-  return s;
-}
+
+  TraceCompileResult Finish() {
+    if (in_block_ > 0) {
+      Seal();
+    }
+    const double span_s = ToSeconds(stats_.last_time);
+    stats_.mean_iops =
+        span_s > 0.0 ? static_cast<double>(stats_.records) / span_s : stats_.peak_iops;
+    const SectorAddr space = space_ > 0 ? space_ : NextPow2(stats_.max_lba_end);
+    const auto num_blocks = static_cast<std::int64_t>(block_offsets_.size());
+    const std::int64_t blocks_start = kTraceHeaderBytes + 8 * num_blocks + 8;
+    const std::int64_t footer_offset = blocks_start + static_cast<std::int64_t>(out_->size());
+
+    std::string head;
+    Put<std::uint32_t>(&head, kTraceMagic);
+    Put<std::uint32_t>(&head, kTraceVersion);
+    Put<std::uint64_t>(&head, 0);  // flags
+    Put<std::int64_t>(&head, space);
+    Put<std::int64_t>(&head, stats_.records);
+    Put<std::int64_t>(&head, num_blocks);
+    Put<std::int64_t>(&head, rpb_);
+    Put<std::uint64_t>(&head, static_cast<std::uint64_t>(kTraceHeaderBytes));
+    Put<std::uint64_t>(&head, static_cast<std::uint64_t>(footer_offset));
+    Put<std::uint64_t>(&head, Fnv1a64(head.data(), 64));
+    for (std::size_t rel : block_offsets_) {
+      Put<std::uint64_t>(&head, static_cast<std::uint64_t>(blocks_start) + rel);
+    }
+    Put<std::uint64_t>(&head, Fnv1a64(head.data() + kTraceHeaderBytes, 8 * block_offsets_.size()));
+
+    // One memmove of the blocks, in place once the final size is reserved.
+    out_->reserve(static_cast<std::size_t>(footer_offset + kTraceFooterBytes));
+    out_->insert(0, head);
+    const std::size_t footer_start = out_->size();
+    PutBytes(out_, &stats_, sizeof stats_);
+    Put<std::uint32_t>(out_, kTraceFooterMagic);
+    Put<std::uint32_t>(out_, 0);  // reserved
+    Put<std::uint64_t>(out_, Fnv1a64(out_->data() + footer_start, out_->size() - footer_start));
+
+    return {.ok = true, .error = {}, .records = stats_.records,
+            .bytes = static_cast<std::int64_t>(out_->size()), .stats = stats_};
+  }
+
+ private:
+  // Appends the current block to *out (offsets relative to the first block)
+  // and starts the next one.
+  void Seal() {
+    const std::size_t start = out_->size();
+    block_offsets_.push_back(start);
+    Put<std::uint64_t>(out_, base_bits_);
+    Put<std::uint64_t>(out_, 0);  // checksum, patched below
+    Put<std::uint32_t>(out_, static_cast<std::uint32_t>(in_block_));
+    Put<std::uint32_t>(out_, static_cast<std::uint32_t>(deltas_.size()));
+    *out_ += deltas_;
+    PadTo8(out_);
+    *out_ += fixed_;
+    // The checksum covers every block byte except itself.
+    const char* base = out_->data() + start;
+    std::uint64_t sum = Fnv1a64(base, 8, kFnvOffset);
+    sum = Fnv1a64(base + 16, out_->size() - start - 16, sum);
+    std::memcpy(out_->data() + start + kTraceBlockChecksumOffset, &sum, sizeof sum);
+    deltas_.clear();
+    fixed_.clear();
+    in_block_ = 0;
+  }
+
+  std::string* out_;
+  std::int64_t rpb_;
+  SectorAddr space_;  // <= 0: NextPow2(max_lba_end), settled in Finish()
+  TraceStats stats_;
+  std::vector<std::size_t> block_offsets_;
+  std::int64_t in_block_ = 0;
+  std::uint64_t base_bits_ = 0;
+  std::uint64_t prev_bits_ = 0;
+  std::string deltas_;  // current block's varint time deltas
+  std::string fixed_;   // current block's fixed records
+  std::deque<SimTime> window_;  // arrival times of the last second
+};
 
 }  // namespace
 
@@ -129,130 +252,50 @@ std::uint64_t Fnv1a64(const void* bytes, std::size_t len, std::uint64_t state) {
 
 TraceCompileResult CompileRecords(std::vector<TraceRecord> records, std::string* out,
                                   const TraceCompileOptions& options) {
-  HIB_CHECK(out != nullptr);
-  HIB_CHECK_GT(options.records_per_block, 0);
-  out->clear();
-
   // Sorting by value and by bit image agree for finite nonnegative doubles;
   // stable so equal-time records keep their arrival order.
-  std::stable_sort(records.begin(), records.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) { return a.time < b.time; });
-
-  TraceStats stats = ComputeStats(records);
-  SectorAddr space = options.address_space_sectors;
-  if (space <= 0) {
-    space = NextPow2(stats.max_lba_end);
+  const auto by_time = [](const TraceRecord& a, const TraceRecord& b) { return a.time < b.time; };
+  if (!std::is_sorted(records.begin(), records.end(), by_time)) {
+    std::stable_sort(records.begin(), records.end(), by_time);
   }
+  TraceEncoder encoder(out, options, static_cast<double>(records.size()));
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const TraceRecord& r = records[i];
-    if (TimeBits(r.time) >= kInfTimeBits) {
-      return CompileError("non-finite or negative timestamp in record " + std::to_string(i));
-    }
-    if (r.lba < 0 || r.count < 1 || r.count > std::numeric_limits<std::uint32_t>::max() ||
-        r.lba > space - r.count) {
-      return CompileError("lba/count outside the address space in record " + std::to_string(i));
-    }
-    if (r.stream < 0 || r.stream > std::numeric_limits<std::uint16_t>::max()) {
-      return CompileError("stream id outside [0, 65535] in record " + std::to_string(i));
+    if (const char* why = encoder.Add(records[i])) {
+      out->clear();
+      return CompileError(why + std::to_string(i));
     }
   }
-
-  const std::int64_t n = static_cast<std::int64_t>(records.size());
-  const std::int64_t rpb = options.records_per_block;
-  const std::int64_t num_blocks = n > 0 ? (n + rpb - 1) / rpb : 0;
-
-  // Encode the blocks first (the index needs their sizes).
-  std::string blocks;
-  blocks.reserve(records.size() * 20);
-  std::vector<std::uint64_t> rel_offsets;
-  rel_offsets.reserve(static_cast<std::size_t>(num_blocks));
-  for (std::int64_t b = 0; b < num_blocks; ++b) {
-    const std::int64_t lo = b * rpb;
-    const std::int64_t hi = std::min(n, lo + rpb);
-    rel_offsets.push_back(blocks.size());
-    const std::size_t block_start = blocks.size();
-
-    std::string deltas;
-    std::uint64_t prev_bits = TimeBits(records[static_cast<std::size_t>(lo)].time);
-    for (std::int64_t j = lo + 1; j < hi; ++j) {
-      std::uint64_t bits = TimeBits(records[static_cast<std::size_t>(j)].time);
-      PutVarint(&deltas, bits - prev_bits);
-      prev_bits = bits;
-    }
-
-    Put<std::uint64_t>(&blocks, TimeBits(records[static_cast<std::size_t>(lo)].time));
-    Put<std::uint64_t>(&blocks, 0);  // checksum, patched below
-    Put<std::uint32_t>(&blocks, static_cast<std::uint32_t>(hi - lo));
-    Put<std::uint32_t>(&blocks, static_cast<std::uint32_t>(deltas.size()));
-    blocks += deltas;
-    PadTo8(&blocks);
-    for (std::int64_t j = lo; j < hi; ++j) {
-      const TraceRecord& r = records[static_cast<std::size_t>(j)];
-      Put<std::int64_t>(&blocks, r.lba);
-      Put<std::uint32_t>(&blocks, static_cast<std::uint32_t>(r.count));
-      Put<std::uint16_t>(&blocks, static_cast<std::uint16_t>(r.stream));
-      Put<std::uint8_t>(&blocks, r.is_write ? 1 : 0);
-      Put<std::uint8_t>(&blocks, 0);
-    }
-
-    // Seal the block: the checksum covers every block byte except itself.
-    const char* base = blocks.data() + block_start;
-    std::uint64_t sum = Fnv1a64(base, 8, kFnvOffset);
-    sum = Fnv1a64(base + 16, blocks.size() - block_start - 16, sum);
-    std::memcpy(blocks.data() + block_start + kTraceBlockChecksumOffset, &sum, sizeof sum);
-  }
-
-  const std::int64_t index_bytes = 8 * num_blocks + 8;
-  const std::int64_t blocks_start = kTraceHeaderBytes + index_bytes;
-  const std::int64_t footer_offset = blocks_start + static_cast<std::int64_t>(blocks.size());
-
-  out->reserve(static_cast<std::size_t>(footer_offset + kTraceFooterBytes));
-  Put<std::uint32_t>(out, kTraceMagic);
-  Put<std::uint32_t>(out, kTraceVersion);
-  Put<std::uint64_t>(out, 0);  // flags
-  Put<std::int64_t>(out, space);
-  Put<std::int64_t>(out, n);
-  Put<std::int64_t>(out, num_blocks);
-  Put<std::int64_t>(out, rpb);
-  Put<std::uint64_t>(out, static_cast<std::uint64_t>(kTraceHeaderBytes));
-  Put<std::uint64_t>(out, static_cast<std::uint64_t>(footer_offset));
-  Put<std::uint64_t>(out, Fnv1a64(out->data(), 64));
-
-  const std::size_t index_start = out->size();
-  for (std::uint64_t rel : rel_offsets) {
-    Put<std::uint64_t>(out, static_cast<std::uint64_t>(blocks_start) + rel);
-  }
-  Put<std::uint64_t>(out, Fnv1a64(out->data() + index_start, 8 * static_cast<std::size_t>(num_blocks)));
-
-  *out += blocks;
-
-  const std::size_t footer_start = out->size();
-  PutBytes(out, &stats, sizeof stats);
-  Put<std::uint32_t>(out, kTraceFooterMagic);
-  Put<std::uint32_t>(out, 0);  // reserved
-  Put<std::uint64_t>(out, Fnv1a64(out->data() + footer_start, out->size() - footer_start));
-
-  TraceCompileResult result;
-  result.ok = true;
-  result.records = n;
-  result.bytes = static_cast<std::int64_t>(out->size());
-  result.stats = stats;
-  return result;
+  return encoder.Finish();
 }
 
 TraceCompileResult CompileTrace(WorkloadSource& source, std::string* out,
                                 const TraceCompileOptions& options, std::int64_t max_records) {
-  std::vector<TraceRecord> records;
-  TraceRecord r;
-  while ((max_records < 0 || static_cast<std::int64_t>(records.size()) < max_records) &&
-         source.Next(&r)) {
-    records.push_back(r);
-  }
   TraceCompileOptions opts = options;
   if (opts.address_space_sectors <= 0) {
     opts.address_space_sectors = source.AddressSpaceSectors();
   }
-  return CompileRecords(std::move(records), out, opts);
+  double expected = ToSeconds(source.DurationHint()) * source.PeakIopsHint();
+  if (max_records >= 0) {
+    expected = std::min(expected, static_cast<double>(max_records));
+  }
+  TraceEncoder encoder(out, opts, expected);
+  TraceRecord r;
+  std::int64_t n = 0;
+  const auto next = [&] { return (max_records < 0 || n++ < max_records) && source.Next(&r); };
+  while (next()) {
+    if (encoder.Add(r) != nullptr) {
+      // Out of order or invalid: drain the source again and let
+      // CompileRecords sort it or name the bad record.
+      source.Reset();
+      n = 0;
+      std::vector<TraceRecord> records;
+      while (next()) {
+        records.push_back(r);
+      }
+      return CompileRecords(std::move(records), out, opts);
+    }
+  }
+  return encoder.Finish();
 }
 
 TraceCompileResult CompileTraceToFile(WorkloadSource& source, const std::string& path,

@@ -119,16 +119,24 @@ struct TraceCompileResult {
   TraceStats stats;
 };
 
-// Compiles an explicit record list.  Records may arrive out of order (the
-// compiler stable-sorts by timestamp); they must have finite nonnegative
-// times, lba >= 0, count >= 1, lba + count <= the address space, and stream
-// ids in [0, 65535].
+// Compiles an explicit record list.  Records may arrive out of order: the
+// compiler stable-sorts by timestamp, but only when they are not already in
+// time order.  They must have finite nonnegative times, lba >= 0, count >= 1,
+// lba + count <= the address space, and stream ids in [0, 65535].  On error
+// `out` is left empty and the diagnostic names the record's index in time
+// order.
 TraceCompileResult CompileRecords(std::vector<TraceRecord> records,
                                   std::string* out,
                                   const TraceCompileOptions& options = {});
 
 // Drains `source` (call source.Reset() afterwards to reuse it) and compiles
 // everything it yields.  `max_records` caps the drain; -1 = to exhaustion.
+// Time-ordered records stream straight into the encoder: no record vector
+// and no sort, so memory is the output plus one block.  If a record arrives
+// out of order or is invalid, CompileTrace calls source.Reset(), drains it
+// again (under the same cap) and hands the records to CompileRecords, so the
+// bytes and diagnostics are always CompileRecords' own.  The source should
+// therefore be at its start.
 TraceCompileResult CompileTrace(WorkloadSource& source, std::string* out,
                                 const TraceCompileOptions& options = {},
                                 std::int64_t max_records = -1);

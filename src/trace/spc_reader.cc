@@ -141,8 +141,9 @@ bool SpcTraceReader::Next(TraceRecord* out) {
 void SpcTraceReader::Reset() {
   OpenStream();
   line_number_ = 0;
-  // The monotonicity check restarts with the stream, so its error count does
-  // too; parse_errors_ stays cumulative across passes.
+  // Both error counts describe one pass over the stream, so they restart with
+  // it (CompileTrace may read an unordered stream twice).
+  parse_errors_ = 0;
   time_order_errors_ = 0;
 }
 

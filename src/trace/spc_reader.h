@@ -55,7 +55,7 @@ class SpcTraceReader : public WorkloadSource {
   void Reset() override;
   SectorAddr AddressSpaceSectors() const override { return address_space_sectors_; }
 
-  // Number of malformed lines skipped so far.
+  // Number of malformed lines skipped so far in this pass (cleared by Reset()).
   std::int64_t parse_errors() const { return parse_errors_; }
 
   // Number of records rejected for non-monotonic timestamps (kReject only).

@@ -17,7 +17,9 @@
 
 #include "src/trace/format.h"
 #include "src/trace/spc_reader.h"
+#include "src/trace/synthetic.h"
 #include "src/trace/trace.h"
+#include "src/trace/zoo.h"
 #include "src/util/random.h"
 
 namespace hib {
@@ -32,10 +34,11 @@ bool SameRecord(const TraceRecord& a, const TraceRecord& b) {
          a.is_write == b.is_write && a.stream == b.stream;
 }
 
-std::vector<TraceRecord> Drain(WorkloadSource& source) {
+std::vector<TraceRecord> Drain(WorkloadSource& source, std::int64_t max_records = -1) {
   std::vector<TraceRecord> records;
   TraceRecord r;
-  while (source.Next(&r)) {
+  while ((max_records < 0 || static_cast<std::int64_t>(records.size()) < max_records) &&
+         source.Next(&r)) {
     records.push_back(r);
   }
   return records;
@@ -254,6 +257,180 @@ TEST(TraceCompile, RejectsInvalidRecordsWithDiagnostics) {
   bad[0].lba = 0;
   bad[0].stream = 1 << 17;
   EXPECT_FALSE(CompileRecords(bad, &bytes, options).ok);
+}
+
+// ------------------------------------- streaming vs. whole-vector compile ---
+// CompileTrace streams time-ordered sources through the encoder and falls
+// back to CompileRecords for anything else; these pin that both paths write
+// the same bytes and stats, and that the fallback keeps its diagnostics.
+
+// Replays a fixed record list; counts Reset() calls so a test can tell a
+// streamed compile from a re-drained one.
+class VectorSource : public WorkloadSource {
+ public:
+  VectorSource(std::vector<TraceRecord> records, SectorAddr space)
+      : records_(std::move(records)), space_(space) {}
+
+  bool Next(TraceRecord* out) override {
+    if (pos_ >= records_.size()) {
+      return false;
+    }
+    *out = records_[pos_++];
+    return true;
+  }
+  void Reset() override {
+    pos_ = 0;
+    ++resets_;
+  }
+  SectorAddr AddressSpaceSectors() const override { return space_; }
+  int resets() const { return resets_; }
+
+ private:
+  std::vector<TraceRecord> records_;
+  SectorAddr space_;
+  std::size_t pos_ = 0;
+  int resets_ = 0;
+};
+
+// Compiles the first `max_records` of `source` both ways and expects the same
+// bytes and stats.
+void ExpectStreamMatchesVector(WorkloadSource& source, std::int64_t records_per_block,
+                               std::int64_t max_records, const std::string& label) {
+  SCOPED_TRACE(label + " rpb=" + std::to_string(records_per_block) +
+               " max_records=" + std::to_string(max_records));
+  source.Reset();
+  const std::vector<TraceRecord> drained = Drain(source, max_records);
+  TraceCompileOptions options;
+  options.records_per_block = records_per_block;
+  std::string streamed;
+  source.Reset();
+  TraceCompileResult a = CompileTrace(source, &streamed, options, max_records);
+  options.address_space_sectors = source.AddressSpaceSectors();
+  std::string whole;
+  TraceCompileResult b = CompileRecords(drained, &whole, options);
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(a.records, static_cast<std::int64_t>(drained.size()));
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_TRUE(streamed == whole) << "compiled bytes differ";
+  EXPECT_EQ(std::memcmp(&a.stats, &b.stats, sizeof(TraceStats)), 0) << "stats differ";
+}
+
+TEST(TraceCompileStream, StreamedBytesAndStatsMatchCompileRecords) {
+  const SectorAddr space = SectorAddr{1} << 24;
+  MlTrainingWorkloadParams ml;
+  ml.address_space_sectors = space;
+  ml.duration_ms = Seconds(40.0);
+  ml.epoch_ms = Seconds(15.0);  // two checkpoint bursts inside the horizon
+  MlTrainingWorkload ml_source(ml);
+
+  BackupScanWorkloadParams backup;
+  backup.address_space_sectors = space;
+  backup.duration_ms = Seconds(60.0);
+  backup.window_start_ms = Seconds(10.0);
+  backup.window_ms = Seconds(40.0);
+  BackupScanWorkload backup_source(backup);
+
+  OltpWorkloadParams oltp;
+  oltp.address_space_sectors = space;
+  oltp.duration_ms = Seconds(30.0);
+  oltp.peak_iops = 800.0;
+  oltp.trough_iops = 500.0;
+  OltpWorkload oltp_source(oltp);
+
+  Pcg32 rng(31);
+  VectorSource random_source(RandomRecords(rng, 13000), kSpace);
+
+  const std::vector<std::pair<std::string, WorkloadSource*>> sources = {
+      {"ml", &ml_source}, {"backup", &backup_source}, {"oltp", &oltp_source},
+      {"random", &random_source}};
+  for (const auto& [label, source] : sources) {
+    for (std::int64_t rpb : {1, 7, 4096}) {
+      for (std::int64_t n : {std::int64_t{0}, std::int64_t{1}, rpb - 1, rpb, rpb + 1, 3 * rpb}) {
+        ExpectStreamMatchesVector(*source, rpb, n, label);
+      }
+      ExpectStreamMatchesVector(*source, rpb, -1, label);
+    }
+  }
+  // Only the helper's own two Resets per case: a time-ordered source streams
+  // without the re-drain.
+  EXPECT_EQ(random_source.resets(), 2 * 3 * 7);
+}
+
+TEST(TraceCompileStream, OutOfOrderSourceFallsBackToDrainThenSort) {
+  // A kAccept SPC stream that runs backwards inside the first 40 records;
+  // the cap must hold across the re-drain, and the malformed line is counted
+  // once per pass, not once per drain.
+  std::ostringstream ascii;
+  ascii << "garbage\n";
+  const double times[] = {0.5, 0.7, 0.6, 1.0, 1.2, 0.1, 2.0};
+  for (int i = 0; i < 60; ++i) {
+    ascii << i % 3 << "," << 8 * i << ",4096," << (i % 5 == 0 ? "w" : "r") << ","
+          << times[i % 7] + i / 7 << "\n";
+  }
+  auto reader = SpcTraceReader::FromString(ascii.str(), kSpace, 4, TimeOrderPolicy::kAccept);
+  const std::vector<TraceRecord> first40 = Drain(*reader, 40);
+  ASSERT_FALSE(std::is_sorted(first40.begin(), first40.end(),
+                              [](const TraceRecord& a, const TraceRecord& b) {
+                                return a.time < b.time;
+                              }));
+
+  TraceCompileOptions options;
+  options.records_per_block = 16;
+  options.address_space_sectors = kSpace;
+  std::string expected;
+  ASSERT_TRUE(CompileRecords(first40, &expected, options).ok);
+
+  reader->Reset();
+  std::string bytes;
+  TraceCompileResult result = CompileTrace(*reader, &bytes, options, 40);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.records, 40);
+  EXPECT_TRUE(bytes == expected) << "fallback bytes differ from drain-then-sort";
+  EXPECT_EQ(reader->parse_errors(), 1);
+}
+
+TEST(TraceCompileStream, InvalidRecordKeepsTheDiagnosticAndLeavesNoOutput) {
+  Pcg32 rng(5);
+  std::vector<TraceRecord> records = RandomRecords(rng, 100);
+  records[70].lba = kSpace;  // lba + count off the end
+  std::string expected_bytes = "stale";
+  TraceCompileOptions options;
+  options.records_per_block = 8;
+  options.address_space_sectors = kSpace;
+  TraceCompileResult expected = CompileRecords(records, &expected_bytes, options);
+  ASSERT_FALSE(expected.ok);
+  EXPECT_EQ(expected.error, "lba/count outside the address space in record 70");
+  EXPECT_TRUE(expected_bytes.empty());
+
+  VectorSource source(records, kSpace);
+  std::string bytes = "stale";
+  TraceCompileResult result = CompileTrace(source, &bytes, options);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, expected.error);
+  EXPECT_TRUE(bytes.empty());
+  EXPECT_EQ(source.resets(), 1);
+}
+
+TEST(TraceCompileStream, UnknownAddressSpaceRecordsNextPowerOfTwo) {
+  Pcg32 rng(8);
+  std::vector<TraceRecord> records = RandomRecords(rng, 50);
+  for (TraceRecord& r : records) {
+    r.lba %= 4096;
+  }
+  records[20].lba = 700'000;
+  records[20].count = 300;  // max_lba_end = 700'300 -> 2^20
+  VectorSource source(records, 0);
+  std::string bytes;
+  TraceCompileResult result = CompileTrace(source, &bytes);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.stats.max_lba_end, 700'300);
+  EXPECT_EQ(Peek<std::int64_t>(bytes, 16), SectorAddr{1} << 20);
+  std::string whole;
+  ASSERT_TRUE(CompileRecords(records, &whole).ok);
+  EXPECT_TRUE(bytes == whole);
+  auto reader = CompiledTraceReader::FromBuffer(std::move(bytes));
+  EXPECT_EQ(reader->AddressSpaceSectors(), SectorAddr{1} << 20);
 }
 
 // ------------------------------------------------------- corruption suite ---
