@@ -577,14 +577,13 @@ void ArrayController::DoMigrationWrites(PoolHandle mig) {
       }
       std::int64_t extent = mst.extent;
       int target_group = mst.target_group;
-      SimTime mig_start = mst.started;
+      HIB_TRACE_SPAN(sim_->obs().tracer, SpanKind::kMigration, kTrackArray, "migrate",
+                     mst.started, sim_->Now(), extent, static_cast<double>(target_group));
       migration_pool_.Release(mig);
       layout_.SetGroup(extent, target_group);
       ++stats_.migrations_completed;
       stats_.migrated_sectors += params_.extent_sectors;
       HIB_COUNTER_INC(obs_migrations_);
-      HIB_TRACE_SPAN(sim_->obs().tracer, SpanKind::kMigration, kTrackArray, "migrate",
-                     mig_start, sim_->Now(), extent, static_cast<double>(target_group));
       --active_migrations_;
       PumpMigrations();
     };

@@ -20,7 +20,7 @@
 // live in inline SmallVector storage, completion callbacks capture only
 // [this, PoolHandle] (16 bytes — inside every SSO buffer in the system), and
 // background fan-ins (rebuild, migration) use intrusive counters instead of
-// make_shared<int>.  simlint HIB017 keeps it that way.
+// make_shared<int>.  simlint HIB018 keeps it that way.
 #ifndef HIBERNATOR_SRC_ARRAY_ARRAY_H_
 #define HIBERNATOR_SRC_ARRAY_ARRAY_H_
 
@@ -38,7 +38,6 @@
 #include "src/trace/trace.h"
 #include "src/util/small_vector.h"
 #include "src/util/stats.h"
-#include "src/util/thread_annotations.h"
 
 namespace hib {
 
@@ -101,8 +100,8 @@ struct ArrayStats {
 };
 
 // Shard-local: one controller per shard universe, single-threaded within it.
-// Escaping its address (or the Simulator's) past the shard run is an HIB022.
-class HIB_SHARD_LOCAL ArrayController {
+// Its address (and the Simulator's) must not outlive the shard run.
+class ArrayController {
  public:
   ArrayController(Simulator* sim, ArrayParams params);
 
@@ -229,20 +228,18 @@ class HIB_SHARD_LOCAL ArrayController {
   };
 
   PoolHandle AcquireContext(const TraceRecord& record, std::function<void(Duration)> done);
-  // HIB_REQUIRES_LIVE: callers must hold a live (unreleased) handle — either
-  // freshly acquired or checked with IsLive() after a completion callback
-  // (simlint HIB024 propagates the obligation up the call graph; the
-  // annotation argument must name the parameter as the definitions spell it).
-  void IssueRead(PoolHandle h, int disk_id, SectorAddr sector, SectorCount count)
-      HIB_REQUIRES_LIVE(h);
-  void IssueWritePhase(PoolHandle h) HIB_REQUIRES_LIVE(h);
-  void FinishLogical(PoolHandle h) HIB_REQUIRES_LIVE(h);
+  // The handle-taking helpers below require a live (unreleased) handle —
+  // either freshly acquired or checked with IsLive() after a completion
+  // callback.  SlotPool's generation check makes a stale one fatal.
+  void IssueRead(PoolHandle h, int disk_id, SectorAddr sector, SectorCount count);
+  void IssueWritePhase(PoolHandle h);
+  void FinishLogical(PoolHandle h);
   void PumpMigrations();
   void StartMigration(std::int64_t extent, int target_group);
-  void DoMigrationWrites(PoolHandle mig) HIB_REQUIRES_LIVE(mig);
+  void DoMigrationWrites(PoolHandle mig);
   // Reads the stripe unit degraded: one read per surviving group disk.
   void IssueDegradedRead(PoolHandle h, int group, int failed_disk, SectorAddr sector,
-                         SectorCount count) HIB_REQUIRES_LIVE(h);
+                         SectorCount count);
   void RebuildNextExtent(int disk_id);
   void WriteRebuildShare(int disk_id);
   void FinishRebuild(int disk_id);

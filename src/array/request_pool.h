@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/util/check.h"
-#include "src/util/thread_annotations.h"
 
 namespace hib {
 
@@ -45,7 +44,7 @@ struct PoolHandle {
 
 // Shard-local: pools live inside one controller, inside one shard universe.
 template <typename T, std::size_t ChunkSize = 256>
-class HIB_SHARD_LOCAL SlotPool {
+class SlotPool {
   static_assert((ChunkSize & (ChunkSize - 1)) == 0, "chunk size must be a power of two");
 
  public:
@@ -72,7 +71,7 @@ class HIB_SHARD_LOCAL SlotPool {
 
   // Resolves a handle.  The reference stays valid across pool growth (chunked
   // storage) but not across Release of the same handle.
-  T& Get(PoolHandle handle) HIB_REQUIRES_LIVE(handle) {
+  T& Get(PoolHandle handle) {
     Slot& slot = SlotRef(handle.index);
     HIB_DCHECK(slot.live && slot.generation == handle.generation)
         << "stale pool handle (slot was released and possibly reused)";
@@ -90,7 +89,7 @@ class HIB_SHARD_LOCAL SlotPool {
 
   // Returns the slot to the free list and invalidates every outstanding
   // handle to it by bumping the generation.
-  void Release(PoolHandle handle) HIB_REQUIRES_LIVE(handle) {
+  void Release(PoolHandle handle) {
     Slot& slot = SlotRef(handle.index);
     HIB_CHECK(slot.live && slot.generation == handle.generation)
         << "releasing a stale or double-released pool handle";

@@ -13,8 +13,8 @@ namespace {
 
 // Runs one claimed spec inside the shard context: the universe constructed
 // here (policy, workload, Simulator) is shard-owned — its address must never
-// escape the worker (simlint HIB022), and clang's capability analysis checks
-// that only shard-context code is called from here.
+// escape the worker, and clang's capability analysis checks that only
+// shard-context code is called from here.
 ExperimentResult RunOneShard(const ExperimentSpec& spec)
     HIB_THREAD_CONTEXT(kShardContext) {
   HIB_CHECK(static_cast<bool>(spec.make_policy))

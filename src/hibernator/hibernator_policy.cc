@@ -21,6 +21,17 @@ std::string HibernatorPolicy::Describe() const {
 void HibernatorPolicy::Attach(Simulator* sim, ArrayController* array) {
   sim_ = sim;
   array_ = array;
+  MetricsRegistry& metrics = sim_->obs().metrics;
+  obs_epochs_ = &metrics.GetCounter("hibernator.epochs");
+  obs_migrations_ = &metrics.GetCounter("hibernator.migrations_requested");
+  obs_boosts_ = &metrics.GetCounter("hibernator.boosts");
+  // CR's candidate search feeds its telemetry directly rather than through
+  // the HIB_* macros, so it stays unwired when instrumentation is compiled out.
+  if constexpr (HIB_OBS != 0) {
+    cr_telemetry_.evaluations = &metrics.GetCounter("hibernator.cr_candidates");
+    cr_telemetry_.predicted_response_ms =
+        &metrics.GetHistogram("hibernator.cr_predicted_response_ms");
+  }
   service_model_ = SpeedServiceModel::FromDisk(array->params().disk,
                                                params_.model_request_sectors,
                                                params_.model_write_fraction);
@@ -213,12 +224,7 @@ void HibernatorPolicy::EpochTick() {
       input.epoch_ms = params_.epoch_ms;
       input.current_levels = group_levels_;
       input.disk = &array_->params().disk;
-#if HIB_OBS
-      input.telemetry.evaluations =
-          &sim_->obs().metrics.GetCounter("hibernator.cr_candidates");
-      input.telemetry.predicted_response_ms =
-          &sim_->obs().metrics.GetHistogram("hibernator.cr_predicted_response_ms");
-#endif
+      input.telemetry = cr_telemetry_;
       CrResult result = SolveCr(input);
       levels = result.levels;
       last_predicted_response_ms_ = result.predicted_response_ms * last_scale_;
@@ -244,7 +250,7 @@ void HibernatorPolicy::EpochTick() {
   }
   array_->stats().ResetWindow();
   ++epochs_completed_;
-  HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("hibernator.epochs"));
+  HIB_COUNTER_INC(obs_epochs_);
 }
 
 void HibernatorPolicy::ApplyGroupLevel(int group, int level) {
@@ -318,8 +324,7 @@ void HibernatorPolicy::PlanMigrations() {
       --budget;
     }
   }
-  HIB_COUNTER_ADD(&sim_->obs().metrics.GetCounter("hibernator.migrations_requested"),
-                  params_.migration_budget_extents - budget);
+  HIB_COUNTER_ADD(obs_migrations_, params_.migration_budget_extents - budget);
 }
 
 void HibernatorPolicy::GuaranteeTick() {
@@ -334,7 +339,7 @@ void HibernatorPolicy::GuaranteeTick() {
     boosted_ = true;
     ++boosts_;
     boost_started_ = sim_->Now();
-    HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("hibernator.boosts"));
+    HIB_COUNTER_INC(obs_boosts_);
     BoostAllFull();
     array_->PauseMigration(true);
     HIB_LOG(kInfo) << Name() << " BOOST at " << sim_->Now() / Hours(1.0) << "h (credit "

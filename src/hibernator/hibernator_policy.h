@@ -141,6 +141,11 @@ class HibernatorPolicy : public PowerPolicy {
   Duration last_predicted_response_ms_;
   std::int64_t migrations_requested_ = 0;
   double last_scale_ = 2.0;
+
+  Counter* obs_epochs_ = nullptr;
+  Counter* obs_migrations_ = nullptr;
+  Counter* obs_boosts_ = nullptr;
+  QueueingTelemetry cr_telemetry_;
 };
 
 }  // namespace hib

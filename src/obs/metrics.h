@@ -126,7 +126,7 @@ struct MetricsSnapshot {
 
 // Shard-local: one registry per Simulator; instruments it hands out are
 // bumped only by that shard's components.
-class HIB_SHARD_LOCAL MetricsRegistry {
+class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;

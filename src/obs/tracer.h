@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/util/thread_annotations.h"
 #include "src/util/units.h"
 
 namespace hib {
@@ -63,7 +62,7 @@ struct TraceEvent {
 };
 
 // Shard-local: one ring per Simulator; never shared across shards.
-class HIB_SHARD_LOCAL Tracer {
+class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 20;
 

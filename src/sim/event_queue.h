@@ -46,7 +46,6 @@
 
 #include "src/util/check.h"
 #include "src/util/inplace_function.h"
-#include "src/util/thread_annotations.h"
 #include "src/util/units.h"
 
 namespace hib {
@@ -63,9 +62,8 @@ using EventCallback = InplaceFunction<void(), kEventCallbackCapacity>;
 // pending at once.  Both limits are HIB_CHECKed.
 using EventId = std::uint64_t;
 
-// Shard-local: owned by exactly one Simulator, which is itself shard-owned
-// (simlint HIB022 tracks escapes of its address).
-class HIB_SHARD_LOCAL EventQueue {
+// Shard-local: owned by exactly one Simulator, which is itself shard-owned.
+class EventQueue {
  public:
   // Schedules `cb` at absolute time `when`; returns an id usable with Cancel.
   // The already-type-erased overload (the Simulator's ScheduleAt/ScheduleIn

@@ -14,7 +14,6 @@
 #include "src/obs/obs.h"
 #include "src/sim/event_queue.h"
 #include "src/util/check.h"
-#include "src/util/thread_annotations.h"
 #include "src/util/units.h"
 
 #if HIB_VALIDATE
@@ -27,8 +26,8 @@ namespace hib {
 
 // Shard-local: a Simulator is one shard's universe.  Its address must never
 // be stored anywhere that outlives the shard run or is reachable from
-// another shard (simlint HIB022).
-class HIB_SHARD_LOCAL Simulator {
+// another shard.
+class Simulator {
  public:
   Simulator() = default;
   Simulator(const Simulator&) = delete;

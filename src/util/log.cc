@@ -9,7 +9,7 @@ namespace {
 std::atomic<LogLevel>& LevelStore() {
   // Output-only knob: set before any shard runs, relaxed loads thereafter.
   // It never feeds simulation state, so it cannot break shard determinism.
-  static std::atomic<LogLevel> level{LogLevel::kWarning};  // NOLINT(HIB019)
+  static std::atomic<LogLevel> level{LogLevel::kWarning};
   return level;
 }
 }  // namespace

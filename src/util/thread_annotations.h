@@ -1,16 +1,12 @@
-// Thread-safety / shard-isolation annotation vocabulary.
+// Thread-safety annotation vocabulary.
 //
-// The fleet simulator's correctness rests on two contracts that used to be
-// comments: nothing mutable is shared across RunAll / FleetSimulator shards,
-// and no callback outlives the object (or pool slot) it captures.  This
-// header turns both into *declared* contracts:
-//
-//   - Under clang, the capability macros expand to the -Wthread-safety
-//     attribute family, so `-DHIB_THREAD_SAFETY=ON` (which adds
-//     -Wthread-safety -Wthread-safety-beta) makes the compiler enforce them.
-//   - Under every compiler, tools/simlint.py parses the same spellings and
-//     enforces them interprocedurally (HIB022 shard-escape, HIB023
-//     callback-lifetime, HIB024 contract propagation).
+// The fleet simulator's correctness rests on shard code and merge code
+// running in their own roles: shard workers never call merge-side code, and
+// merges run only after every shard has joined.  This header turns that into
+// a *declared* contract: under clang the macros expand to the
+// -Wthread-safety attribute family, so `-DHIB_THREAD_SAFETY=ON` (which adds
+// -Wthread-safety -Wthread-safety-beta) makes the compiler enforce it.
+// Everywhere else they expand to nothing.
 //
 // Vocabulary:
 //
@@ -24,15 +20,6 @@
 //                             (locks_excluded) — e.g. spec-order merges that
 //                             must happen after every shard has joined.
 //   HIB_GUARDED_BY(ctx)       Member may only be touched while `ctx` is held.
-//   HIB_SHARD_LOCAL           Marks shard-owned state: the address of this
-//                             member/object must never be stored anywhere
-//                             that outlives the shard run or is reachable
-//                             from another shard (simlint HIB022).  Under
-//                             clang it is a parsed annotate attribute, so a
-//                             typo fails the build everywhere.
-//   HIB_REQUIRES_LIVE(h)      The caller must guarantee pool handle `h` is
-//                             live for the duration of the call (simlint
-//                             HIB024; annotate attribute under clang).
 //   HIB_ACQUIRE_CONTEXT(ctx) / HIB_RELEASE_CONTEXT(ctx)
 //                             Functions that enter / leave a context.
 //   HIB_SCOPED_CONTEXT        RAII class that holds a context for its scope.
@@ -62,19 +49,6 @@
 #define HIB_SCOPED_CONTEXT HIB_THREAD_ANNOTATION_ATTRIBUTE_(scoped_lockable)
 #define HIB_NO_THREAD_SAFETY_ANALYSIS \
   HIB_THREAD_ANNOTATION_ATTRIBUTE_(no_thread_safety_analysis)
-
-// Shard-ownership / handle-lifetime markers.  These have no -Wthread-safety
-// counterpart (the analysis has no notion of pool generations), so under
-// clang they expand to `annotate` attributes — compiler-parsed metadata, so
-// misuse is still a build error — and simlint carries the semantics
-// (HIB022 / HIB024).
-#if defined(__clang__)
-#define HIB_SHARD_LOCAL __attribute__((annotate("hib::shard_local")))
-#define HIB_REQUIRES_LIVE(h) __attribute__((annotate("hib::requires_live:" #h)))
-#else
-#define HIB_SHARD_LOCAL
-#define HIB_REQUIRES_LIVE(h)
-#endif
 
 namespace hib {
 

@@ -151,5 +151,18 @@ TEST(SlotPoolDeathTest, DoubleReleaseIsFatal) {
   EXPECT_DEATH(pool.Release(h), "stale or double-released");
 }
 
+TEST(SlotPoolDeathTest, StaleGetIsFatal) {
+  // Get uses HIB_DCHECK: resolving a released handle dies wherever the
+  // validator is compiled in (the generation check is what stands in for a
+  // static handle-liveness analysis).
+  if (!HIB_VALIDATE) {
+    GTEST_SKIP() << "HIB_VALIDATE is off (Release build); Get's check is compiled out";
+  }
+  SlotPool<Payload> pool;
+  PoolHandle h = pool.Acquire();
+  pool.Release(h);
+  EXPECT_DEATH(pool.Get(h), "stale pool handle");
+}
+
 }  // namespace
 }  // namespace hib

@@ -9,8 +9,8 @@
 #   - with --all, the full tree (what the CI lint job runs).
 #
 # simlint is invoked per changed file, which keeps the hook under a second;
-# cross-file rules (HIB018+) get their full-tree run in CI and in ctest's
-# simlint_repo entry, so a hook pass is necessary, not sufficient.
+# the cross-file rules (HIB018, HIB023) get their full-tree run in CI and in
+# ctest's simlint_repo entry, so a hook pass is necessary, not sufficient.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,7 +37,8 @@ else
   echo "precommit: clang-format not found; skipping format check" >&2
 fi
 
-# --partial: a NOLINT for a cross-file rule (HIB018+) cannot be proven stale
-# without the whole call graph in scope, so HIB099 stays quiet for those here.
+# --partial: a NOLINT for a cross-file rule (HIB018, HIB023) cannot be proven
+# stale without the whole call graph in scope, so HIB099 stays quiet for those
+# here.
 python3 tools/simlint.py --partial "${changed[@]}"
 echo "precommit: ${#changed[@]} changed file(s) clean"

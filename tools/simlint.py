@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""simlint v4: shard-escape & contract analysis for the Hibernator simulator.
+"""simlint: the repo lint for the Hibernator simulator.
 
 The v1 engine matched regexes against raw lines; v2 tokenizes the C++
 (comment-, string-, raw-string- and preprocessor-aware), builds a per-file
@@ -15,27 +15,13 @@ callback registered inside `F` contributes edges from `F`), call sites
 resolved through the symbol index (receiver type -> class -> method), virtual
 calls fanned out to every overrider via the recorded base-class lists, and
 function-like `#define` macros treated as call-graph nodes so `HIB_LOG(...)`
-reaches `LogMessage`.  Four interprocedural rules run on the graph
-(HIB018-HIB021 below); their findings carry the full witness chain — the
-call path or taint path from root to violation — rendered as indented
-`note:` lines in text output and as SARIF `codeFlows`.  Per-file models are
-memoized in an on-disk cache keyed by content hash + engine version, so warm
-runs skip tokenizing/parsing entirely (the call graph and the
-interprocedural rules are recomputed every run: they are whole-program
-facts and are cheap next to parsing).
+reaches `LogMessage`.  The cross-file rules (HIB018, HIB023) run on the
+graph; their findings carry the full witness chain — the call path from root
+to violation — rendered as indented `note:` lines in text output and as
+SARIF `codeFlows`.  Every run is cold: tokenizing and modelling the whole
+tree takes well under a second on the process pool.
 
-v4 teaches the engine the annotation vocabulary from
-src/util/thread_annotations.h (HIB_SHARD_LOCAL, HIB_THREAD_CONTEXT(...),
-HIB_GUARDED_BY(...), HIB_REQUIRES_LIVE(handle)) — the same spellings clang's
--Wthread-safety enforces when the build sets -DHIB_THREAD_SAFETY=ON, so the
-contracts are checked twice: structurally here on every compiler, and by the
-compiler itself under clang.  On top of the annotations and the v3 call
-graph, v4 runs a field-sensitive escape analysis (HIB022), generalises the
-callback-lifetime check across function boundaries (HIB023), propagates
-declared contracts caller-by-caller with root-first witness chains (HIB024),
-and pins the layering DAG the include graph must respect (HIB025).
-
-Style / hygiene rules (ported from v1):
+Style / hygiene rules:
 
   HIB001 include-guard   Headers must use the guard derived from their path:
                          src/disk/disk.h -> HIBERNATOR_SRC_DISK_DISK_H_.
@@ -46,13 +32,8 @@ Style / hygiene rules (ported from v1):
                          library or test code outside src/util/log.* and
                          src/util/table.* (and src/util/check.h).  CLI entry
                          points under bench/ and examples/ are exempt.
-  HIB004 units-alias     No raw `double`/`float` declarations whose name says
-                         they hold a unit (`*_ms`, `*_joules`, `*_watts`):
-                         use the aliases from src/util/units.h.
   HIB005 bare-assert     No bare `assert()`: use HIB_CHECK / HIB_DCHECK.
   HIB006 static-mutable  No mutable static-duration variables in library code.
-  HIB007 raw-unit-fn     Quantity-named functions must not take or return raw
-                         `double`/`float`; use the units.h types.
   HIB008 value-escape    `.value()` is reserved for the I/O and statistics
                          boundaries (units/stats/table/log/trace/obs).
   HIB009 hand-conversion Unit-suffixed identifiers combined with bare
@@ -61,8 +42,8 @@ Style / hygiene rules (ported from v1):
   HIB010 raw-output      The C output primitives HIB003 misses (fputs, fputc,
                          putchar, putc, fwrite, perror).
 
-Determinism-hazard rules (new in v2 — they guard the bit-identical-parallel
-contract the sharded fleet simulator depends on; library code only):
+Determinism-hazard rules (they guard the bit-identical-parallel contract the
+sharded fleet simulator depends on; library code only):
 
   HIB011 unordered-iter  Iterating a std::unordered_map/unordered_set
                          (range-for or .begin()/.cbegin()) in library code:
@@ -91,59 +72,22 @@ contract the sharded fleet simulator depends on; library code only):
                          an unpredictable point) or a catch with an empty
                          body (swallows the error, sim continues on corrupt
                          state).  Catch by reference and handle or rethrow.
-  HIB017 hot-alloc       `std::make_shared` or a `new` expression in the
-                         per-request layers (src/array, src/sim).  The
-                         dispatch hot path is allocation-free by design
-                         (SlotPool handles, SmallVector inline storage);
-                         heap traffic there is a perf regression.  Setup-time
-                         allocation belongs in constructors via make_unique /
-                         containers; anything else needs a NOLINT(HIB017)
-                         with a justification.
 
-Interprocedural rules (new in v3 — they run on the cross-TU call graph and
-report a full witness chain for every finding):
+Call-graph and lifetime rules:
 
   HIB018 transitive-hot-alloc  Any allocation (new expression, make_shared /
                          make_unique, or container growth via push_back /
                          emplace_back on a std::vector member no reserve()
                          call ever touches) *reachable* from the dispatch
                          roots (ArrayController::Submit, Disk::Submit,
-                         EventQueue::FireNext).  Subsumes the path-scoped
-                         HIB017, which stays as the fast syntactic tier: a
-                         helper in src/util that allocates is invisible to
-                         HIB017 the moment the hot path calls it.
-  HIB019 static-shard-race  Mutable static-duration or singleton state
-                         referenced by any function reachable from the shard
-                         entry points (RunAll, FleetSimulator::Run,
-                         RunExperiment) without going through the
-                         src/harness/parallel.* merge.  Synchronisation does
-                         not rescue the bit-identical guarantee — an atomic
-                         counter still makes shard results depend on
-                         interleaving — so HIB006's atomic/mutex exemptions
-                         do not apply here.
-  HIB020 determinism-taint  A value derived from a HIB013 source (time(),
-                         random_device, a pointer-to-integer cast) flowing
-                         through returns and locals into an event timestamp
-                         (Schedule/ScheduleAt/ScheduleIn argument), a seed
-                         assignment, or any call made from src/sim.
+                         EventQueue::FireNext).  A helper in src/util that
+                         allocates is caught the moment the hot path calls it.
   HIB021 handle-use-after-release  Intra-function def-use on SlotPool
                          handles: any use of a PoolHandle lvalue after
                          Release(handle) on the same lexical path (the
                          released state dies with the enclosing scope and on
                          reassignment).  Pins the reentrant-Submit ordering
                          contract: Release must be the last touch.
-
-Shard-escape & contract rules (new in v4 — annotation-driven):
-
-  HIB022 shard-escape    The address of shard-owned state (a HIB_SHARD_LOCAL
-                         class, or one of the known shard-universe types)
-                         stored into anything that outlives the shard run:
-                         directly into a mutable static, or — field-
-                         sensitively — into a member of a class that has a
-                         static-duration instance anywhere in the program.
-                         Only code reachable from the shard entry points is
-                         in scope; the witness chain walks root -> store ->
-                         escaping owner.
   HIB023 callback-lifetime  A closure handed to Schedule/ScheduleAt/
                          ScheduleIn that (a) captures a local or parameter by
                          reference — the frame dies before the event queue
@@ -152,14 +96,6 @@ Shard-escape & contract rules (new in v4 — annotation-driven):
                          the event can fire (directly, or via a callee that
                          releases its handle parameter — the interprocedural
                          generalisation of HIB021).
-  HIB024 contract-propagation  A call to a function annotated
-                         HIB_THREAD_CONTEXT(ctx) from a caller that neither
-                         carries the same annotation nor establishes the
-                         context (ThreadContextScope / ctx.Acquire()), or a
-                         call passing a PoolHandle to a HIB_REQUIRES_LIVE
-                         callee when the caller did not acquire the handle,
-                         IsLive-check it, or declare HIB_REQUIRES_LIVE on its
-                         own signature.  Witness chains are root-first.
   HIB025 layering        An #include that violates the layer DAG
                          util <- obs/trace <- sim <- disk <- queueing <-
                          array <- policy <- hibernator <- harness.  Upward
@@ -167,8 +103,8 @@ Shard-escape & contract rules (new in v4 — annotation-driven):
                          state leaks across subsystem boundaries in the
                          first place.
 
-Serialization rules (new in v4.1 — the trace pipeline's compiled binary
-format is checksummed and validated in exactly one place):
+Serialization rules (the trace pipeline's compiled binary format is
+checksummed and validated in exactly one place):
 
   HIB026 raw-deser       `fread()` or `reinterpret_cast` in src/ outside the
                          trace format layer (src/trace/format.*).  Raw
@@ -188,7 +124,7 @@ Suppressions (inline, per line):
   ... code ...            // NOLINT(HIB011, HIB014)
   // NOLINTNEXTLINE(HIB012)
   ... code ...
-The v1 spelling `// simlint: allow(HIB004)` remains supported as an alias.
+The v1 spelling `// simlint: allow(HIB003)` remains supported as an alias.
 Only NOLINT comments that explicitly name HIB rules belong to simlint; bare
 `NOLINT` and clang-tidy rule lists are ignored (and never flagged as unused).
 
@@ -197,23 +133,20 @@ Usage:
   tools/simlint.py --list-rules
   tools/simlint.py --explain HIB018   # rule rationale + its fixture's minimal repro
   tools/simlint.py --sarif out.sarif  # also write SARIF 2.1.0 (code scanning)
-  tools/simlint.py --fix              # apply mechanical fixes (HIB001, HIB009)
   tools/simlint.py --jobs N           # parallel file scanning (default: cpus)
-  tools/simlint.py --cache FILE       # incremental cache (default: .simlint-cache.json)
-  tools/simlint.py --no-cache         # disable the incremental cache
+  tools/simlint.py --partial FILES    # subset scan (pre-commit hook)
 
 Exit status: 0 when clean, 1 when any finding is reported, 2 on usage error.
 """
 
 import argparse
 import concurrent.futures
-import hashlib
 import json
 import os
 import re
 import sys
 
-SIMLINT_VERSION = "4.1.0"
+SIMLINT_VERSION = "5.0.0"
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_PATHS = ["src", "tests", "bench", "examples"]
@@ -225,11 +158,8 @@ RULES = {
     "HIB002": ("iostream-header",
                "#include <iostream> in a header (only src/util/log.h, src/util/check.h)"),
     "HIB003": ("raw-io", "raw stdio outside src/util/log.* / src/util/table.*"),
-    "HIB004": ("units-alias",
-               "raw double/float where a units.h alias (Duration/Joules/Watts) is meant"),
     "HIB005": ("bare-assert", "bare assert(); use HIB_CHECK / HIB_DCHECK from src/util/check.h"),
     "HIB006": ("static-mutable", "mutable static-duration variable in library code"),
-    "HIB007": ("raw-unit-fn", "raw double param/return on a power/energy/latency/duration function"),
     "HIB008": ("value-escape", ".value() escape outside the sanctioned I/O and stats boundaries"),
     "HIB009": ("hand-conversion", "hand-rolled unit conversion; use the units.h factories/accessors"),
     "HIB010": ("raw-output",
@@ -245,30 +175,15 @@ RULES = {
     "HIB015": ("uninit-member",
                "scalar member without default initializer in a constructor-less class"),
     "HIB016": ("exception-sink", "exception caught by value or silently swallowed"),
-    "HIB017": ("hot-alloc",
-               "std::make_shared / new expression in the per-request layers "
-               "(src/array, src/sim); the hot path is allocation-free"),
     "HIB018": ("transitive-hot-alloc",
                "allocation (new/make_shared/make_unique/unreserved vector growth) "
                "reachable from a dispatch root via the call graph"),
-    "HIB019": ("static-shard-race",
-               "mutable static/singleton state reachable from a shard entry point "
-               "(breaks the bit-identical parallel guarantee)"),
-    "HIB020": ("determinism-taint",
-               "value derived from a wall-clock/randomness source flows into an "
-               "event timestamp, seed, or src/sim call"),
     "HIB021": ("handle-use-after-release",
                "PoolHandle used on a path after Release(handle); Release must be "
                "the last touch of a handle"),
-    "HIB022": ("shard-escape",
-               "address of shard-owned state stored somewhere that outlives the "
-               "shard run (static, or member of a statically-held class)"),
     "HIB023": ("callback-lifetime",
                "scheduled callback captures by reference, or captures a pool "
                "handle whose slot is released before the event queue drains"),
-    "HIB024": ("contract-propagation",
-               "call into a HIB_THREAD_CONTEXT / HIB_REQUIRES_LIVE contract the "
-               "caller neither declares nor establishes"),
     "HIB025": ("layering",
                "#include that violates the layer DAG (util <- obs/trace <- sim "
                "<- disk <- queueing <- array <- policy <- hibernator <- harness)"),
@@ -279,26 +194,18 @@ RULES = {
 }
 
 # --- per-rule path scoping (rel-path prefixes) ------------------------------
+# Code that owns its process (tests, benches, examples) may use wall clocks,
+# unordered iteration, mutable statics and setup-time allocation: the
+# library-code rules (HIB006, HIB011-HIB016, HIB018, HIB021, HIB023) skip it.
+LIBRARY_EXEMPT_PREFIXES = ("tests/", "bench/", "examples/")
 IOSTREAM_HEADER_ALLOWED = {"src/util/log.h", "src/util/check.h"}
 RAW_IO_ALLOWED_PREFIXES = ("src/util/log.", "src/util/table.", "src/util/check.",
                            "bench/", "examples/")
-STATIC_MUT_EXEMPT_PREFIXES = ("tests/", "bench/", "examples/")
-UNIT_FN_EXEMPT_PREFIXES = ("tests/", "bench/", "examples/", "src/util/units.h")
 VALUE_ALLOWED_PREFIXES = ("src/util/units.h", "src/util/stats.", "src/util/table.",
                           "src/util/log.", "src/trace/", "src/obs/",
                           "tests/", "bench/", "examples/")
 HAND_CONVERSION_EXEMPT_PREFIXES = ("src/util/units.h", "tests/", "bench/", "examples/")
 RAW_OUTPUT_ALLOWED_PREFIXES = RAW_IO_ALLOWED_PREFIXES + ("src/obs/",)
-# The determinism family applies to library code; processes that own their
-# run (tests, benches, examples) may use wall clocks and unordered iteration.
-DETERMINISM_EXEMPT_PREFIXES = ("tests/", "bench/", "examples/")
-# The allocation-free hot path: per-request code in these layers must not
-# reach for the general-purpose heap (SlotPool / SmallVector instead).  The
-# fixtures dir is in scope so the rule's own fixture fires.
-HOT_ALLOC_PREFIXES = ("src/array/", "src/sim/", "tools/simlint_fixtures/")
-# The interprocedural fixtures exercise HIB018+ via the call graph; keep the
-# syntactic HIB017 tier out of them so each fixture trips exactly its rule.
-HIB017_EXEMPT_PREFIXES = ("tools/simlint_fixtures/interproc/",)
 # Binary deserialization lives in exactly one place: the checksummed trace
 # format layer.  Everywhere else in src/, fread-and-pointer-cast parsing
 # bypasses the validation CompiledTraceReader does.  The fixtures dir is in
@@ -306,45 +213,24 @@ HIB017_EXEMPT_PREFIXES = ("tools/simlint_fixtures/interproc/",)
 RAW_DESER_PREFIXES = ("src/", "tools/simlint_fixtures/")
 RAW_DESER_EXEMPT_PREFIXES = ("src/trace/format", "tools/simlint_fixtures/interproc/")
 
-# --- interprocedural rule configuration (v3) --------------------------------
+# --- call-graph rule configuration ------------------------------------------
 # Dispatch roots for HIB018: per-request entry points whose transitive callees
 # must stay off the general-purpose heap.
 HOT_PATH_ROOTS = (("ArrayController", "Submit"), ("ArrayController", "SubmitRaw"),
                   ("Disk", "Submit"), ("EventQueue", "FireNext"),
                   ("EventQueue", "Pop"))
-# Shard entry points for HIB019: everything these reach runs concurrently on
-# worker threads and must not touch static state outside the harness merge.
-SHARD_ROOTS = (("", "RunAll"), ("FleetSimulator", "Run"), ("", "RunExperiment"))
-SHARD_MERGE_PREFIXES = ("src/harness/parallel.",)
-# Interprocedural findings stay out of code that owns its process (mirrors the
-# determinism family's scoping).
-INTERPROC_EXEMPT_PREFIXES = ("tests/", "bench/", "examples/")
-# HIB020 sinks: the event-timestamp entry points and seed-looking lvalues.
+# HIB023: the event-scheduling entry points whose closures outlive the caller.
 SCHEDULE_SINKS = {"Schedule", "ScheduleAt", "ScheduleIn"}
-SEED_NAME_RE = re.compile(r"(?i)seed")
-# Pointer-to-integer casts are a HIB013-class source for HIB020 (addresses
-# differ run to run).
-INT_CAST_TYPES = {"uintptr_t", "intptr_t", "size_t", "uint64_t", "int64_t",
-                  "uint32_t", "int32_t", "long", "unsigned", "int"}
 
-# --- annotation & layering configuration (v4) -------------------------------
+# --- annotation & layering configuration ------------------------------------
 # The annotation vocabulary from src/util/thread_annotations.h.  The parser
-# strips these from declarations (recording them as function/class facts);
-# the set also keeps them from being misread as declarator names.
+# strips these from declarations so they are never misread as declarator
+# names (clang's -Wthread-safety is what checks them).
 ANNOTATION_MACROS = {
     "HIB_CAPABILITY", "HIB_THREAD_CONTEXT", "HIB_EXCLUDES_CONTEXT",
     "HIB_GUARDED_BY", "HIB_ACQUIRE_CONTEXT", "HIB_RELEASE_CONTEXT",
     "HIB_SCOPED_CONTEXT", "HIB_NO_THREAD_SAFETY_ANALYSIS",
-    "HIB_SHARD_LOCAL", "HIB_REQUIRES_LIVE",
 }
-# Types that are one shard's universe even without a HIB_SHARD_LOCAL marker
-# (the marker on the real classes is the source of truth; this set keeps the
-# rule meaningful on files analysed in isolation, fixtures included).
-SHARD_OWNED_TYPES = {"Simulator", "EventQueue", "ArrayController", "SlotPool",
-                     "MetricsRegistry", "Tracer", "Observability", "Disk"}
-# Container calls that store their &-argument with the container's lifetime.
-CONTAINER_STORE_CALLS = {"push_back", "emplace_back", "insert", "emplace",
-                         "push", "assign"}
 # HIB025: allowed *direct* include targets per src/<layer>/ (transitive
 # closure of util <- obs/trace <- sim <- disk <- queueing <- array <- policy
 # <- hibernator <- harness; same-layer includes are always fine).
@@ -365,10 +251,7 @@ LAYER_DAG = {
 # Layering fixtures mirror the src/<layer>/ shape one directory down.
 LAYERING_FIXTURE_PREFIX = "tools/simlint_fixtures/layering/"
 
-UNIT_FN_NAME_RE = re.compile(r"(?i:power|energy|latency|duration|response)|(?:Time|Ms)$")
-DIMENSIONLESS_NAME_RE = re.compile(r"(?i:scale|ratio|fraction|factor|util|count|scv|rho)")
 UNIT_SUFFIX_NAME_RE = re.compile(r"_(?:ms|sec|seconds|hours|joules|watts|rpm)_?$")
-UNITS_DECL_NAME_RE = re.compile(r"_(?:ms|joules|watts)_?$")
 CONVERSION_VALUES = {60.0, 1000.0, 3600.0, 1e-3, 3.6e6}
 
 PRINTF_FAMILY = {"printf", "fprintf", "sprintf", "puts"}
@@ -405,11 +288,6 @@ CXX_KEYWORDS = frozenset("""
     typedef typeid typename union unsigned using virtual void volatile wchar_t
     while xor xor_eq final override
 """.split())
-
-TYPE_INTRO_KEYWORDS = frozenset(
-    ["const", "volatile", "constexpr", "constinit", "consteval", "inline", "static",
-     "mutable", "extern", "register", "thread_local", "virtual", "explicit",
-     "typename", "unsigned", "signed", "long", "short", "struct", "class", "enum"])
 
 
 # ============================ tokenizer =====================================
@@ -544,13 +422,8 @@ def tokenize(text):
             line += tok.count("\n")
             if "\n" in tok:
                 line_start = m.end() - (len(tok) - tok.rfind("\n") - 1)
-        elif kind == "delim":
-            pass
         else:
-            if kind == "str" or kind == "char":
-                tokens.append((kind, tok, line, col))
-            else:
-                tokens.append((kind, tok, line, col))
+            tokens.append((kind, tok, line, col))
         if kind not in ("lcomment", "bcomment"):
             bol = False
         pos = m.end()
@@ -571,9 +444,7 @@ def parse_suppressions(comments):
 
     Only NOLINT comments that explicitly name HIBxxx rules belong to simlint;
     bare NOLINT and foreign rule lists (clang-tidy's
-    `NOLINT(google-explicit-constructor)` etc.) are left alone.  Rules are a
-    sorted list (not a set) so the whole structure round-trips through the
-    JSON incremental cache.
+    `NOLINT(google-explicit-constructor)` etc.) are left alone.
     """
     sups = []
     for ln, body in comments.items():
@@ -607,23 +478,6 @@ class FileModel:
         self.static_decls = []     # {name, line, type} mutable static candidates
 
 
-def _match_forward(toks, i, opens, closes):
-    """Index just past the bracket group starting at toks[i] (which is in
-    `opens`).  Treats '>>' as two closes when matching angle brackets."""
-    depth = 0
-    n = len(toks)
-    while i < n:
-        t = toks[i][1]
-        if t in opens:
-            depth += 1
-        elif t in closes:
-            depth -= 1
-            if depth <= 0:
-                return i + 1
-        i += 1
-    return n
-
-
 def _find_matching_close(toks, i):
     """toks[i] is '(' '[' or '{'; returns index of the matching closer."""
     open_t = toks[i][1]
@@ -644,18 +498,12 @@ def _find_matching_close(toks, i):
 
 def _strip_annotation_tokens(toks):
     """Removes HIB_* annotation macros (and their argument lists) from a
-    statement's tokens.  Returns (kept_tokens, annotations) where each
-    annotation is [macro_name, [argument identifiers]] — `kShardContext` for
-    HIB_THREAD_CONTEXT(kShardContext), the handle name for
-    HIB_REQUIRES_LIVE(h)."""
+    statement's tokens."""
     kept = []
-    annotations = []
     i = 0
     n = len(toks)
     while i < n:
         if toks[i][0] == "id" and toks[i][1] in ANNOTATION_MACROS:
-            macro = toks[i][1]
-            args = []
             i += 1
             if i < n and toks[i][1] == "(":
                 depth = 0
@@ -668,14 +516,11 @@ def _strip_annotation_tokens(toks):
                         if depth == 0:
                             i += 1
                             break
-                    elif toks[i][0] == "id":
-                        args.append(t)
                     i += 1
-            annotations.append([macro, args])
             continue
         kept.append(toks[i])
         i += 1
-    return kept, annotations
+    return kept
 
 
 class Parser:
@@ -719,10 +564,9 @@ class Parser:
                 i = close + 1
                 continue
             if kind == "id" and text == "template":
-                if i + 1 < end and toks[i + 1][1] == "<":
-                    i = self._skip_angles(i + 1, end)
-                else:
-                    i += 1
+                i += 1
+                if i < end and toks[i][1] == "<":
+                    i = _skip_angle_tokens(toks, i, end)
                 continue
             if kind == "id" and text in ("class", "struct") \
                     and self._is_class_def(i, end):
@@ -752,26 +596,6 @@ class Parser:
                 continue
             i = self._statement(i, end, class_name, current)
 
-    def _skip_angles(self, i, end):
-        """toks[i] == '<'; returns index past the matching '>' ('>>' counts 2)."""
-        depth = 0
-        while i < end:
-            t = self.toks[i][1]
-            if t == "<":
-                depth += 1
-            elif t == ">":
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-            elif t == ">>":
-                depth -= 2
-                if depth <= 0:
-                    return i + 1
-            elif t in (";", "{"):
-                return i  # lost: bail out
-            i += 1
-        return end
-
     def _is_class_def(self, i, end):
         """class/struct at i introduces a definition (not `struct X* p` etc.)."""
         j = i + 1
@@ -781,7 +605,7 @@ class Parser:
                 j = _find_matching_close(self.toks, j) + 1
                 continue
             if self.toks[j][0] == "id" and self.toks[j][1] in ANNOTATION_MACROS:
-                # `class HIB_SHARD_LOCAL Simulator {` / `class HIB_CAPABILITY(x) C {`
+                # `class HIB_CAPABILITY(x) C {`
                 j += 1
                 if j < end and self.toks[j][1] == "(":
                     j = _find_matching_close(self.toks, j) + 1
@@ -804,11 +628,8 @@ class Parser:
         bases = []
         in_bases = False
         adepth = 0
-        shard_local = False
         while j < end and toks[j][1] not in ("{", ";"):
             if toks[j][0] == "id" and toks[j][1] in ANNOTATION_MACROS:
-                if toks[j][1] == "HIB_SHARD_LOCAL":
-                    shard_local = True
                 j += 1
                 if j < end and toks[j][1] == "(":
                     j = _find_matching_close(toks, j) + 1
@@ -839,7 +660,7 @@ class Parser:
             return end
         close = _find_matching_close(toks, j)
         cls = {"name": name, "line": toks[i][2], "has_real_ctor": False,
-               "members": [], "bases": bases, "shard_local": shard_local}
+               "members": [], "bases": bases}
         self.model.classes.append(cls)
         if name:
             self.model.context_classes.append(name)
@@ -942,10 +763,9 @@ class Parser:
         if not toks:
             return
 
-        # Strip thread-safety / shard annotations; they are recorded as facts
-        # on the declaration, and leaving them in would make the declarator
-        # scans below misname the function after its trailing macro.
-        toks, annotations = _strip_annotation_tokens(toks)
+        # Strip thread-safety annotations: leaving them in would make the
+        # declarator scans below misname the function after its trailing macro.
+        toks = _strip_annotation_tokens(toks)
         if not toks:
             return
 
@@ -972,10 +792,10 @@ class Parser:
                                 current_class["has_real_ctor"] = True
                         # Constructors are call-graph nodes too (a call
                         # spelled `LogMessage(...)` resolves to this).
-                        fn = {"name": class_name, "line": t[2], "ret": [],
+                        fn = {"name": class_name, "line": t[2],
                               "params": [], "method_class": class_name,
                               "has_body": has_body, "is_virtual": False,
-                              "is_ctor": True, "annotations": annotations}
+                              "is_ctor": True}
                         self.model.functions.append(fn)
                         return fn
                     break
@@ -988,17 +808,16 @@ class Parser:
             if toks[k][0] == "id" and toks[k + 1][1] == "::" \
                     and toks[k + 2][1] == toks[k][1] and toks[k + 3][1] == "(" \
                     and (k == 0 or toks[k - 1][1] != "~"):
-                fn = {"name": toks[k][1], "line": toks[k][2], "ret": [],
+                fn = {"name": toks[k][1], "line": toks[k][2],
                       "params": [], "method_class": toks[k][1],
                       "has_body": has_body, "is_virtual": False,
-                      "is_ctor": True, "annotations": annotations}
+                      "is_ctor": True}
                 self.model.functions.append(fn)
                 return fn
 
         # Function (decl or def): declarator ends with (...) [cv].
         fn = self._try_function(toks, has_body)
         if fn is not None:
-            fn["annotations"] = annotations
             if fn["method_class"] is None and class_name:
                 fn["method_class"] = class_name  # in-class method definition
             self.model.functions.append(fn)
@@ -1065,16 +884,11 @@ class Parser:
             return None  # destructor: not a call-graph node, never "called"
         name = texts[namek]
         method_class = None
-        retk = namek
         if namek >= 2 and texts[namek - 1] == "::" and toks[namek - 2][0] == "id":
             method_class = texts[namek - 2]
-            retk = namek - 2
-        ret = [t for t in texts[:retk]
-               if t not in ("inline", "static", "virtual", "explicit", "constexpr",
-                            "consteval", "friend", "extern")]
         params = self._parse_params(toks[openk + 1:endk - 1])
         is_virtual = "virtual" in texts or "override" in texts or "final" in texts
-        return {"name": name, "line": toks[namek][2], "ret": ret, "params": params,
+        return {"name": name, "line": toks[namek][2], "params": params,
                 "method_class": method_class, "has_body": has_body,
                 "is_virtual": is_virtual}
 
@@ -1117,7 +931,7 @@ class Parser:
             else:
                 pname = ""
                 ptype = [t[1] for t in g]
-            params.append((ptype, pname, g[0][2]))
+            params.append((ptype, pname))
         return params
 
     def _try_var_decl(self, toks):
@@ -1187,15 +1001,14 @@ class Parser:
 # ============================ findings ======================================
 
 class Finding:
-    __slots__ = ("path", "line", "col", "rule", "message", "fix", "flow")
+    __slots__ = ("path", "line", "col", "rule", "message", "flow")
 
-    def __init__(self, path, line, rule, message, col=1, fix=None, flow=None):
+    def __init__(self, path, line, rule, message, col=1, flow=None):
         self.path = path
         self.line = line
         self.col = col
         self.rule = rule
         self.message = message
-        self.fix = fix  # optional (kind, *args) tuple for --fix
         # Witness chain for the interprocedural rules: a list of
         # [path, line, col, message] steps ordered source/root -> finding.
         self.flow = flow or []
@@ -1209,9 +1022,6 @@ class Finding:
         for step in self.flow:
             out.append(f"    note: {step[0]}:{step[1]}: {step[3]}")
         return "\n".join(out)
-
-    def key(self):
-        return (self.path, self.line, self.rule, self.message)
 
 
 def rel_path(path):
@@ -1232,12 +1042,13 @@ def analyze_file(path):
     """Worker entry point: tokenize, model, run index-free checks.
 
     Returns a pickleable dict with findings plus everything the main process
-    needs for the cross-file checks (HIB011/HIB014/HIB015) and suppressions.
+    needs for the cross-file checks (HIB011/HIB014/HIB015, the call graph)
+    and suppressions.
     """
     rel = rel_path(path)
     out = {
         "rel": rel,
-        "findings": [],       # (line, col, rule, message, fix, flow)
+        "findings": [],       # (line, col, rule, message, flow)
         "suppressions": [],
         "classes": [],
         "aliases": {},
@@ -1246,9 +1057,8 @@ def analyze_file(path):
         "rangefors": [],      # (line, col, ident, body_start, body_end)
         "begin_calls": [],    # (line, col, ident)
         "accums": [],         # (line, col, ident)
-        "functions": [],      # call-graph nodes with per-body facts (v3)
+        "functions": [],      # call-graph nodes with per-body facts
         "reserved": [],       # member names some .reserve() call touches
-        "static_decls": [],   # mutable static-duration declarations (v4)
         "error": None,
     }
     try:
@@ -1263,8 +1073,8 @@ def analyze_file(path):
 
     findings = []
 
-    def add(line, col, rule, message, fix=None, flow=None):
-        findings.append((line, col, rule, message, fix, flow or []))
+    def add(line, col, rule, message, flow=None):
+        findings.append((line, col, rule, message, flow or []))
 
     is_header = rel.endswith(".h")
     if is_header:
@@ -1280,7 +1090,6 @@ def analyze_file(path):
     out["context_classes"] = model.context_classes
 
     check_static_mutable(rel, model, add)
-    check_unit_functions(rel, model, add)
     token_checks(rel, tokens, add, out)
     extract_function_facts(rel, tokens, model, directives, out, add)
 
@@ -1288,7 +1097,7 @@ def analyze_file(path):
     return out
 
 
-# ----- v3: per-function fact extraction + HIB021 ----------------------------
+# ----- per-function fact extraction + HIB021 --------------------------------
 
 MACRO_DEF_RE = re.compile(r"^([A-Za-z_]\w*)\((.*?)\)\s*(.*)$", re.S)
 MACRO_CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\(")
@@ -1324,18 +1133,9 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
       calls        [name, recv, qual, line, col, arg_ids]
                                                   (recv: `x.F()`; qual: `X::F()`)
       allocs       ["new"|"make"|"growth", detail, line, col]
-      det_sources  [desc, line, col]              (HIB013-class sources)
-      static_refs  [name, line, col, decl_line]   (mutable statics only)
-      sinks        ["schedule", callee, arg_ids, arg_calls, line, col]
-      assigns      [lhs, rhs_calls, rhs_ids, line, col]  (in body order)
-      addr_stores  [dest_chain, src, line, col]   (`a.b = &x` / `c.push_back(&x)`;
-                                                   dest_chain is ["a","b"] / ["c"])
-      sched_lambdas [sink, val_ids, ref_ids, ref_all, has_this, line, col,
-                     end_line]                    (closures handed to Schedule*)
+      sched_lambdas [sink, val_ids, line, col, end_line]
+                                                  (closures handed to Schedule*)
       releases     [handle, line, col]            (Release(h) sites)
-      live_checks  [handle, line, col]            (IsLive(h) sites)
-      ctx_establish bool                          (ThreadContextScope /
-                                                   <ctx>.Acquire() in the body)
 
     Function-like #define macros become pseudo-nodes whose calls are the
     identifiers applied in the replacement text (so HIB_LOG(...) has edges to
@@ -1348,38 +1148,15 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
     def tk(i):
         return tokens[i] if 0 <= i < n else ("", "", 0, 0)
 
-    # Mutable statics in this file: file-scope ones match by name anywhere;
-    # function-local ones only inside the declaring body (identifiers like
-    # `level` are too common for cross-function name matching).
-    mutable_statics = []
-    for d in model.static_decls:
-        tl = d["type"]
-        if re.search(r"\b(?:const|constexpr|constinit)\b", tl):
-            continue
-        mutable_statics.append(d)
-
     bodies = []
     for fn in model.functions:
         br = fn.get("body_range")
         if br:
-            b0, b1 = br
-            fn["body_lines"] = (tk(b0)[2] or fn["line"], tk(b1)[2] or fn["line"])
-            bodies.append((fn, b0, b1))
+            bodies.append((fn, br[0], br[1]))
         fn.setdefault("calls", [])
         fn.setdefault("allocs", [])
-        fn.setdefault("det_sources", [])
-        fn.setdefault("static_refs", [])
-        fn.setdefault("sinks", [])
-        fn.setdefault("assigns", [])
-        fn.setdefault("addr_stores", [])
         fn.setdefault("sched_lambdas", [])
         fn.setdefault("releases", [])
-        fn.setdefault("live_checks", [])
-        fn.setdefault("ctx_establish", False)
-
-    file_static_names = {d["name"]: d for d in mutable_statics
-                         if not any(f["body_lines"][0] <= d["line"] <= f["body_lines"][1]
-                                    for f, _, _ in bodies)}
 
     # Function-like macros as pseudo call-graph nodes.
     for name, rest, line in directives:
@@ -1394,23 +1171,15 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
             continue
         out["functions"].append({
             "name": m.group(1), "method_class": None, "line": line,
-            "is_virtual": False, "is_macro": True, "has_body": True,
+            "is_virtual": False, "has_body": True,
             "params": [], "calls": [[c, None, None, line, 1, []] for c in callees],
-            "allocs": [], "det_sources": [], "static_refs": [], "sinks": [],
-            "assigns": [], "addr_stores": [], "sched_lambdas": [],
-            "releases": [], "live_checks": [], "ctx_establish": False,
-            "annotations": []})
+            "allocs": [], "sched_lambdas": [], "releases": []})
 
-    lib = not rel.startswith(DETERMINISM_EXEMPT_PREFIXES)
-    interproc_scoped = not rel.startswith(INTERPROC_EXEMPT_PREFIXES)
+    interproc_scoped = not rel.startswith(LIBRARY_EXEMPT_PREFIXES)
 
     for fn, b0, b1 in bodies:
-        calls, allocs, det, statics, sinks, assigns = \
-            fn["calls"], fn["allocs"], fn["det_sources"], fn["static_refs"], \
-            fn["sinks"], fn["assigns"]
-        addr_stores, sched_lambdas, releases_fact, live_checks = \
-            fn["addr_stores"], fn["sched_lambdas"], fn["releases"], \
-            fn["live_checks"]
+        calls, allocs = fn["calls"], fn["allocs"]
+        sched_lambdas, releases_fact = fn["sched_lambdas"], fn["releases"]
         param_types = {}
         for p in fn.get("params", []):
             if len(p) >= 2 and p[1]:
@@ -1420,8 +1189,6 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
         def is_handle_name(name, _pt=param_types):
             t = _pt.get(name) or model.locals.get(name) or ""
             return "PoolHandle" in t
-        local_static_names = {d["name"]: d for d in mutable_statics
-                              if fn["body_lines"][0] <= d["line"] <= fn["body_lines"][1]}
         depth = 0
         released = {}  # handle name -> [depth, line, col, arg_token_index]
         i = b0
@@ -1437,63 +1204,16 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                 nxt = tk(i + 1)[1]
                 prv = tk(i - 1)[1]
 
-                # Mutable static reference (reads, writes, and the local
-                # declaration itself).  One record per static per function:
-                # the first touch is the witness, more add only noise.
-                sd = local_static_names.get(text) or file_static_names.get(text)
-                if sd is not None and prv not in (".", "->") \
-                        and not any(s[0] == text for s in statics):
-                    statics.append([text, line, col, sd["line"]])
-
-                # ThreadContextScope (or <ctx>.Acquire()) establishes the
-                # shard context for this function's body (HIB024).
-                if text == "ThreadContextScope":
-                    fn["ctx_establish"] = True
-
-                # Reassignment revives a released handle; record assigns for
-                # the intra-function taint step.
+                # Reassignment revives a released handle.
                 if nxt == "=" and text not in CXX_KEYWORDS:
                     released.pop(text, None)
-                    # `lhs = &x` / `a.b = &x`: an address store (HIB022).  The
-                    # destination chain walks back over member accesses.
-                    if tk(i + 2)[1] == "&" and tk(i + 3)[0] == "id" \
-                            and tk(i + 3)[1] not in CXX_KEYWORDS:
-                        chain = [text]
-                        k = i - 1
-                        while tk(k)[1] in (".", "->") and tk(k - 1)[0] == "id":
-                            chain.insert(0, tk(k - 1)[1])
-                            k -= 2
-                        addr_stores.append([chain, tk(i + 3)[1], line, col])
-                    rhs_calls, rhs_ids = [], []
-                    j = i + 2
-                    d2 = 0
-                    while j < b1:
-                        t2 = tokens[j][1]
-                        if t2 in ("(", "[", "{"):
-                            d2 += 1
-                        elif t2 in (")", "]", "}"):
-                            d2 -= 1
-                            if d2 < 0:
-                                break
-                        elif t2 in (";", ",") and d2 == 0:
-                            break
-                        elif tokens[j][0] == "id" and t2 not in CXX_KEYWORDS:
-                            j2 = j + 1
-                            if tk(j2)[1] == "<":
-                                j2 = _skip_angle_tokens(tokens, j2, b1)
-                            if tk(j2)[1] == "(":
-                                rhs_calls.append(t2)
-                            else:
-                                rhs_ids.append(t2)
-                        j += 1
-                    assigns.append([text, rhs_calls, rhs_ids, line, col])
                     i += 1
                     continue
 
                 # HIB021: a released handle touched again.
                 if text in released and i != released[text][3]:
                     e = released[text]
-                    if not rel.startswith(INTERPROC_EXEMPT_PREFIXES):
+                    if interproc_scoped:
                         add(line, col, "HIB021",
                             f"'{text}' is used after Release({text}); the pool "
                             "slot may already be reacquired (generation bump) — "
@@ -1519,7 +1239,7 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                         qual = tk(i - 2)[1]
 
                     close = _find_matching_close(tokens, callpos)
-                    arg_ids, arg_calls = [], []
+                    arg_ids = []
                     d2 = 0
                     for j in range(callpos + 1, close):
                         t2 = tokens[j][1]
@@ -1527,32 +1247,10 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                             d2 += 1
                         elif t2 in (")", "]", "}"):
                             d2 -= 1
-                        elif tokens[j][0] == "id" and t2 not in CXX_KEYWORDS:
-                            if tk(j + 1)[1] == "(":
-                                arg_calls.append(t2)
-                            elif d2 == 0:
-                                arg_ids.append(t2)
+                        elif tokens[j][0] == "id" and t2 not in CXX_KEYWORDS \
+                                and tk(j + 1)[1] != "(" and d2 == 0:
+                            arg_ids.append(t2)
                     calls.append([text, recv, qual, line, col, arg_ids])
-
-                    # `container.push_back(&x)`: the address now lives as long
-                    # as the container (HIB022's field-sensitive store).
-                    if text in CONTAINER_STORE_CALLS and recv:
-                        for j in range(callpos + 1, close):
-                            if tokens[j][1] == "&" and tk(j + 1)[0] == "id" \
-                                    and tk(j - 1)[1] in ("(", ","):
-                                chain = [recv]
-                                k = i - 2  # the receiver token
-                                while tk(k - 1)[1] in (".", "->") \
-                                        and tk(k - 2)[0] == "id":
-                                    chain.insert(0, tk(k - 2)[1])
-                                    k -= 2
-                                addr_stores.append(
-                                    [chain, tk(j + 1)[1], line, col])
-                                break
-
-                    # `<ctx>.Acquire()` establishes the context (HIB024).
-                    if text == "Acquire" and recv and "Context" in recv:
-                        fn["ctx_establish"] = True
 
                     if text == "reserve" and recv:
                         out["reserved"].append(recv)
@@ -1561,8 +1259,6 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                     elif text in ("make_shared", "make_unique"):
                         allocs.append(["make", text, line, col])
                     elif text in SCHEDULE_SINKS:
-                        sinks.append(["schedule", text, arg_ids, arg_calls,
-                                      line, col])
                         # Closure argument: record its captures (HIB023).
                         lb = next((j for j in range(callpos + 1, close)
                                    if tokens[j][1] == "["
@@ -1570,7 +1266,7 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                         if lb is not None:
                             rb = _find_matching_close(tokens, lb)
                             val_ids, ref_ids = [], []
-                            ref_all = has_this = False
+                            ref_all = False
                             k = lb + 1
                             while k < rb:
                                 t2 = tokens[k][1]
@@ -1583,9 +1279,7 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                                             k += 1
                                         continue
                                     ref_all = True
-                                elif t2 == "this":
-                                    has_this = True
-                                elif tokens[k][0] == "id":
+                                elif tokens[k][0] == "id" and t2 != "this":
                                     val_ids.append(t2)
                                     k += 1
                                     while k < rb and tokens[k][1] != ",":
@@ -1594,8 +1288,7 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                                 k += 1
                             end_line = tokens[close][2]
                             sched_lambdas.append(
-                                [text, val_ids, ref_ids, ref_all, has_this,
-                                 line, col, end_line])
+                                [text, val_ids, line, col, end_line])
                             if (ref_all or ref_ids) and interproc_scoped:
                                 what = (f"'&{ref_ids[0]}'" if ref_ids
                                         else "'[&]' (everything)")
@@ -1605,17 +1298,13 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                                     "is gone before the event queue drains — "
                                     "capture by value (handles are 8 bytes) "
                                     "or move ownership into the closure")
-                    elif text == "IsLive" and arg_ids:
-                        for a in arg_ids:
-                            if is_handle_name(a):
-                                live_checks.append([a, line, col])
                     elif text == "Release" and len(arg_ids) == 1 \
                             and is_handle_name(arg_ids[0]):
                         h = arg_ids[0]
                         hidx = next((j for j in range(callpos + 1, close)
                                      if tokens[j][1] == h), -1)
                         if h in released:
-                            if not rel.startswith(INTERPROC_EXEMPT_PREFIXES):
+                            if interproc_scoped:
                                 e = released[h]
                                 add(line, col, "HIB021",
                                     f"double Release({h}): the handle was "
@@ -1627,62 +1316,23 @@ def extract_function_facts(rel, tokens, model, directives, out, add):
                         released[h] = [depth, line, col, hidx]
                         releases_fact.append([h, line, col])
 
-                    # Seed-flavoured setter calls count as seed sinks too
-                    # (SetSeed(t), Reseed(t), ...).
-                    if SEED_NAME_RE.search(text) and (arg_ids or arg_calls):
-                        sinks.append(["seedcall", text, arg_ids, arg_calls,
-                                      line, col])
-
-                # HIB013-class determinism sources (recorded everywhere;
-                # gated by path at finding time).
-                if text in WALL_CLOCK_IDS and (prv != "::" or tk(i - 2)[1]
-                                               in ("std", "chrono")):
-                    det.append([text, line, col])
-                elif text in WALL_CLOCK_CALLS and nxt == "(" \
-                        and prv not in (".", "->") \
-                        and (prv != "::" or tk(i - 2)[1] == "std"):
-                    det.append([text + "()", line, col])
-                elif text == "new" and prv != "operator":
+                if text == "new" and prv != "operator":
                     allocs.append(["new", None, line, col])
-                elif text == "reinterpret_cast" and nxt == "<":
-                    j2 = _skip_angle_tokens(tokens, i + 1, b1)
-                    inner = {tokens[j][1] for j in range(i + 2, max(i + 2, j2 - 1))}
-                    if inner & INT_CAST_TYPES:
-                        det.append(["pointer-to-integer cast", line, col])
 
             i += 1
 
-        # Seed member assignment is a HIB020 sink; fold assign-shaped sinks
-        # out of the generic assign list.
-        for lhs, rhs_calls, rhs_ids, line, col in assigns:
-            if SEED_NAME_RE.search(lhs):
-                sinks.append(["seedassign", lhs, rhs_ids, rhs_calls, line, col])
-
-    # Publish pickle/JSON-clean nodes (drop parser-internal fields).
+    # Publish pickle-clean nodes (drop parser-internal fields).
     for fn in model.functions:
         out["functions"].append({
             "name": fn["name"], "method_class": fn.get("method_class"),
             "line": fn["line"], "is_virtual": fn.get("is_virtual", False),
-            "is_macro": False, "has_body": bool(fn.get("body_range")),
+            "has_body": bool(fn.get("body_range")),
             "params": [[" ".join(pt) if not isinstance(pt, str) else pt, pn]
-                       for pt, pn, *_ in fn.get("params", [])],
+                       for pt, pn in fn.get("params", [])],
             "calls": fn.get("calls", []), "allocs": fn.get("allocs", []),
-            "det_sources": fn.get("det_sources", []),
-            "static_refs": fn.get("static_refs", []),
-            "sinks": fn.get("sinks", []), "assigns": fn.get("assigns", []),
-            "addr_stores": fn.get("addr_stores", []),
             "sched_lambdas": fn.get("sched_lambdas", []),
-            "releases": fn.get("releases", []),
-            "live_checks": fn.get("live_checks", []),
-            "ctx_establish": bool(fn.get("ctx_establish")),
-            "annotations": fn.get("annotations", [])})
+            "releases": fn.get("releases", [])})
     out["reserved"] = sorted(set(out["reserved"]))
-    # Mutable static declarations, for HIB022's "does anything hold this class
-    # statically" step (file-scope only; locals never outlive their frame...
-    # except local statics, which do, so both are published).
-    out["static_decls"] = [
-        {"name": d["name"], "line": d["line"], "type": d["type"]}
-        for d in mutable_statics]
 
 
 def check_include_guard(rel, text, directives, add):
@@ -1693,18 +1343,16 @@ def check_include_guard(rel, text, directives, add):
             ifndef = (rest.split()[0] if rest.split() else "", line)
             break
     if ifndef is None:
-        add(1, 1, "HIB001", f"missing include guard {want}", ("guard_insert", want))
+        add(1, 1, "HIB001", f"missing include guard {want}")
         return
     got, line = ifndef
     if got != want:
-        add(line, 1, "HIB001", f"include guard is {got}, expected {want}",
-            ("guard_rename", got, want))
+        add(line, 1, "HIB001", f"include guard is {got}, expected {want}")
         return
     for name, rest, _ in directives:
         if name == "define" and rest.split() and rest.split()[0] == want:
             return
-    add(line, 1, "HIB001", f"#ifndef {want} has no matching #define",
-        ("guard_add_define", want, line))
+    add(line, 1, "HIB001", f"#ifndef {want} has no matching #define")
 
 
 def check_directives(rel, is_header, directives, add):
@@ -1718,8 +1366,7 @@ def check_directives(rel, is_header, directives, add):
 
 
 def check_layering(rel, directives, add):
-    """HIB025: #include edges between src/<layer>/ dirs must follow the DAG.
-    Purely per-file (directive-shaped), so it caches with the file."""
+    """HIB025: #include edges between src/<layer>/ dirs must follow the DAG."""
     if rel.startswith("src/"):
         layer = rel.split("/")[1]
     elif rel.startswith(LAYERING_FIXTURE_PREFIX):
@@ -1746,7 +1393,7 @@ def check_layering(rel, directives, add):
 
 
 def check_static_mutable(rel, model, add):
-    if rel.startswith(STATIC_MUT_EXEMPT_PREFIXES):
+    if rel.startswith(LIBRARY_EXEMPT_PREFIXES):
         return
     for decl in model.static_decls:
         if STATIC_EXEMPT_TYPE_RE.search(decl["type"]):
@@ -1755,29 +1402,6 @@ def check_static_mutable(rel, model, add):
             f"mutable static-duration variable '{decl['name']}'; make it "
             "const/constexpr, wrap it in std::atomic/std::mutex, or pass the "
             "state explicitly")
-
-
-def check_unit_functions(rel, model, add):
-    if rel.startswith(UNIT_FN_EXEMPT_PREFIXES):
-        return
-    for fn in model.functions:
-        name = fn["name"]
-        if not UNIT_FN_NAME_RE.search(name) or DIMENSIONLESS_NAME_RE.search(name):
-            continue
-        ret = [t for t in fn["ret"] if t not in ("const", "&", "*", "constexpr")]
-        if ret and ret[-1] in ("double", "float"):
-            add(fn["line"], 1, "HIB007",
-                f"'{name}' returns raw {ret[-1]}; its name says it is a "
-                "physical quantity — return a units.h type")
-            continue
-        for ptype, pname, pline in fn["params"]:
-            base = [t for t in ptype if t not in ("const", "&", "*")]
-            if base and base[-1] in ("double", "float") \
-                    and not DIMENSIONLESS_NAME_RE.search(pname or ""):
-                add(pline, 1, "HIB007",
-                    f"'{name}' takes raw double '{pname or '<param>'}'; its name "
-                    "says it deals in a physical quantity — take a units.h type")
-                break
 
 
 def _num_value(text):
@@ -1791,20 +1415,16 @@ def token_checks(rel, tokens, add, out):
     """Single linear pass over the token stream for the token-shaped rules,
     plus extraction of the deferred (index-needing) sites."""
     n = len(tokens)
-    lib = not rel.startswith(DETERMINISM_EXEMPT_PREFIXES)
+    lib = not rel.startswith(LIBRARY_EXEMPT_PREFIXES)
     raw_io_ok = rel.startswith(RAW_IO_ALLOWED_PREFIXES)
     raw_out_ok = rel.startswith(RAW_OUTPUT_ALLOWED_PREFIXES)
     value_ok = rel.startswith(VALUE_ALLOWED_PREFIXES)
     conv_ok = rel.startswith(HAND_CONVERSION_EXEMPT_PREFIXES)
-    hot_alloc = rel.startswith(HOT_ALLOC_PREFIXES) \
-        and not rel.startswith(HIB017_EXEMPT_PREFIXES)
     raw_deser = rel.startswith(RAW_DESER_PREFIXES) \
         and not rel.startswith(RAW_DESER_EXEMPT_PREFIXES)
 
     def tk(i):
         return tokens[i] if 0 <= i < n else ("", "", 0, 0)
-
-    unordered_loop_bodies = []  # (start_line, end_line) for HIB014
 
     i = 0
     while i < n:
@@ -1837,22 +1457,6 @@ def token_checks(rel, tokens, add, out):
                 add(line, col, "HIB005",
                     "bare assert(); use HIB_CHECK / HIB_DCHECK from src/util/check.h")
 
-            # HIB017: heap allocation in the per-request layers.  Dispatch is
-            # allocation-free (SlotPool / SmallVector); make_shared and new
-            # expressions there reintroduce per-request heap traffic.
-            if hot_alloc:
-                if text == "make_shared" \
-                        and ((prv == "::" and prv2 == "std") or nxt == "<"):
-                    add(line, col, "HIB017",
-                        "std::make_shared in a per-request layer; use a "
-                        "SlotPool handle (src/array/request_pool.h) or "
-                        "setup-time make_unique in a constructor")
-                elif text == "new" and prv != "operator":
-                    add(line, col, "HIB017",
-                        "new expression in a per-request layer; the hot path "
-                        "is allocation-free — use SlotPool / SmallVector, or "
-                        "NOLINT(HIB017) a justified setup-time allocation")
-
             # HIB026: raw binary deserialization outside the trace format
             # layer.  fread-into-struct and pointer-cast parsing skip the
             # bounds/checksum validation CompiledTraceReader centralises.
@@ -1870,14 +1474,6 @@ def token_checks(rel, tokens, add, out):
                         "std::memcpy for local type punning, or parse via "
                         "src/trace/format.*")
 
-            # HIB004: double/float with a unit-suffixed name.
-            if prv in ("double", "float") and UNITS_DECL_NAME_RE.search(text) \
-                    and "per_ms" not in text:
-                alias = "Joules" if "joules" in text else (
-                    "Watts" if "watts" in text else "Duration (or SimTime)")
-                add(line, col, "HIB004",
-                    f"'{prv} {text}' should use the {alias} alias from src/util/units.h")
-
             # HIB008: .value() escape.
             if text == "value" and prv in (".", "->") and nxt == "(" \
                     and tk(i + 2)[1] == ")" and not value_ok:
@@ -1892,14 +1488,12 @@ def token_checks(rel, tokens, add, out):
                         and _num_value(tk(i + 2)[1]) in CONVERSION_VALUES:
                     add(line, col, "HIB009",
                         "hand-rolled unit conversion; use Seconds()/Hours()/"
-                        "ToSeconds() etc. so the scale lives only in units.h",
-                        ("conversion",))
+                        "ToSeconds() etc. so the scale lives only in units.h")
                 elif prv in ("*", "/") and tk(i - 2)[0] == "num" \
                         and _num_value(tk(i - 2)[1]) in CONVERSION_VALUES:
                     add(tk(i - 2)[2], tk(i - 2)[3], "HIB009",
                         "hand-rolled unit conversion; use Seconds()/Hours()/"
-                        "ToSeconds() etc. so the scale lives only in units.h",
-                        ("conversion",))
+                        "ToSeconds() etc. so the scale lives only in units.h")
 
             # HIB013: wall-clock / ambient randomness (library code).
             if lib:
@@ -2022,8 +1616,6 @@ def token_checks(rel, tokens, add, out):
 
         i += 1
 
-    out["_unused"] = unordered_loop_bodies  # kept for symmetry; unused
-
 
 # ============================ cross-file resolution =========================
 
@@ -2090,19 +1682,14 @@ def is_scalar_type(type_str, aliases):
 
 
 def cross_file_checks(results, index):
-    """HIB011 / HIB014 / HIB015 need the merged symbol index.
-
-    Findings go into r["xfindings"], not r["findings"]: the per-file lists
-    are what the incremental cache stores, and cross-file conclusions must
-    not be frozen into them (another file changing can change the verdict).
-    """
+    """HIB011 / HIB014 / HIB015 need the merged symbol index."""
     aliases = index["aliases"]
     for r in results:
         rel = r["rel"]
-        add = lambda line, col, rule, msg: r["xfindings"].append(
-            (line, col, rule, msg, None, []))
+        add = lambda line, col, rule, msg: r["findings"].append(
+            (line, col, rule, msg, []))
 
-        if not rel.startswith(DETERMINISM_EXEMPT_PREFIXES):
+        if not rel.startswith(LIBRARY_EXEMPT_PREFIXES):
             unordered_bodies = []
             for line, col, ident, bstart, bend in r["rangefors"]:
                 t = resolve_alias(resolve_type(ident, r, index), aliases)
@@ -2145,7 +1732,7 @@ def cross_file_checks(results, index):
                             "is a run-to-run divergence seed")
 
 
-# ============================ interprocedural (v3) ==========================
+# ============================ interprocedural ===============================
 
 def _node_name(key):
     return f"{key[0]}::{key[1]}" if key[0] else key[1]
@@ -2171,7 +1758,7 @@ def build_call_graph(results, index):
                class is "" for free functions and function-like macros.
       edges:   key -> [(target_key, (rel, line, col, callee_text)), ...]
       resolve: (fileres, fn, name, recv, qual) -> [target keys] — the same
-               resolution the edges used, for on-demand queries (taint RHS).
+               resolution the edges used, for on-demand queries.
 
     Resolution order for `recv.F(...)`: the receiver's declared type (params,
     then locals/members via the symbol index, aliases unwound), first known
@@ -2286,7 +1873,7 @@ def _reach(roots, graph):
     return parents
 
 
-def _chain(key, parents, graph, root_label):
+def _chain(key, parents, graph):
     """Witness steps (root first) from the entry point down to `key`.
     Returns (steps, root_key)."""
     steps = []
@@ -2302,14 +1889,14 @@ def _chain(key, parents, graph, root_label):
             r, fn = rr, ff
             break
     steps.append([r["rel"], fn["line"], 1,
-                  f"{root_label} '{_node_name(cur)}' defined here"])
+                  f"dispatch root '{_node_name(cur)}' defined here"])
     steps.reverse()
     return steps, cur
 
 
 def interprocedural_checks(results, index):
-    """HIB018 / HIB019 / HIB020 on the merged call graph.  Findings land in
-    the owning file's xfindings with a root->site witness chain."""
+    """HIB018 / HIB023 on the merged call graph.  Findings land in the
+    owning file's findings with a witness chain."""
     graph = build_call_graph(results, index)
     nodes, resolve = graph["nodes"], graph["resolve"]
     by_rel = {r["rel"]: r for r in results}
@@ -2320,7 +1907,7 @@ def interprocedural_checks(results, index):
     def emit(rel, line, col, rule, msg, flow):
         r = by_rel.get(rel)
         if r is not None:
-            r["xfindings"].append((line, col, rule, msg, None, flow))
+            r["findings"].append((line, col, rule, msg, flow))
 
     # ---- HIB018: transitive hot-path allocation ----
     parents = _reach(HOT_PATH_ROOTS, graph)
@@ -2328,7 +1915,7 @@ def interprocedural_checks(results, index):
     for key in sorted(parents):
         for r, fn in nodes[key]["defs"]:
             rel = r["rel"]
-            if rel.startswith(INTERPROC_EXEMPT_PREFIXES):
+            if rel.startswith(LIBRARY_EXEMPT_PREFIXES):
                 continue
             for akind, detail, line, col in fn.get("allocs", []):
                 if (rel, line, col) in seen:
@@ -2351,248 +1938,16 @@ def interprocedural_checks(results, index):
                            "path; the per-request layers are allocation-free "
                            "by design — use SlotPool / SmallVector")
                 seen.add((rel, line, col))
-                steps, root = _chain(key, parents, graph, "dispatch root")
+                steps, root = _chain(key, parents, graph)
                 steps.append([rel, line, col, "allocation here"])
                 emit(rel, line, col, "HIB018",
                      msg + f" (reachable from '{_node_name(root)}')", steps)
-
-    # ---- HIB019: mutable static state reachable from shard entry points ----
-    parents = _reach(SHARD_ROOTS, graph)
-    seen = set()
-    for key in sorted(parents):
-        for r, fn in nodes[key]["defs"]:
-            rel = r["rel"]
-            if rel.startswith(INTERPROC_EXEMPT_PREFIXES) \
-                    or rel.startswith(SHARD_MERGE_PREFIXES):
-                continue
-            for name, line, col, decl_line in fn.get("static_refs", []):
-                if (rel, line, col) in seen:
-                    continue
-                seen.add((rel, line, col))
-                steps, root = _chain(key, parents, graph, "shard entry point")
-                steps.append([rel, line, col,
-                              f"static '{name}' (declared at {rel}:{decl_line}) "
-                              "touched here"])
-                emit(rel, line, col, "HIB019",
-                     f"mutable static '{name}' is reachable from shard entry "
-                     f"point '{_node_name(root)}'; even synchronised static "
-                     "state makes shard results depend on interleaving — "
-                     "communicate through the harness merge "
-                     "(src/harness/parallel.h) instead", steps)
-
-    # ---- HIB020: determinism taint into timestamps / seeds / src/sim ----
-    tainted = {}  # key -> witness steps, source first
-    for key in sorted(nodes):
-        for r, fn in nodes[key]["defs"]:
-            if fn.get("det_sources"):
-                d = fn["det_sources"][0]
-                tainted[key] = [[r["rel"], d[1], d[2],
-                                 f"nondeterministic source '{d[0]}' read here"]]
-                break
-    changed = True
-    while changed:
-        changed = False
-        for key in sorted(nodes):
-            if key in tainted:
-                continue
-            for tgt, site in graph["edges"].get(key, []):
-                if tgt in tainted:
-                    tainted[key] = tainted[tgt] + [
-                        [site[0], site[1], site[2],
-                         f"'{_node_name(key)}' takes a tainted value from "
-                         f"'{_node_name(tgt)}' here"]]
-                    changed = True
-                    break
-
-    def first_tainted(r, fn, names):
-        for cname in names:
-            for tgt in resolve(r, fn, cname, None, None):
-                if tgt in tainted:
-                    return cname, tgt
-        return None, None
-
-    seen = set()
-    for key in sorted(nodes):
-        for r, fn in nodes[key]["defs"]:
-            rel = r["rel"]
-            if rel.startswith(INTERPROC_EXEMPT_PREFIXES):
-                continue
-            events = [("assign",) + tuple(a) for a in fn.get("assigns", [])] \
-                + [("sink",) + tuple(s) for s in fn.get("sinks", [])]
-            events.sort(key=lambda e: (e[-2], e[-1], e[0]))
-            local_taint = {}
-            for ev in events:
-                if ev[0] == "assign":
-                    _, lhs, rhs_calls, rhs_ids, line, col = ev
-                    cname, tgt = first_tainted(r, fn, rhs_calls)
-                    if tgt is not None:
-                        local_taint[lhs] = tainted[tgt] + [
-                            [rel, line, col,
-                             f"'{lhs}' derives from tainted call "
-                             f"'{cname}(...)' here"]]
-                        continue
-                    for rid in rhs_ids:
-                        if rid in local_taint:
-                            local_taint[lhs] = local_taint[rid] + [
-                                [rel, line, col,
-                                 f"'{lhs}' derives from tainted '{rid}' here"]]
-                            break
-                else:
-                    _, skind, sname, arg_ids, arg_calls, line, col = ev
-                    if (rel, line, col, skind) in seen:
-                        continue
-                    witness = None
-                    via = None
-                    cname, tgt = first_tainted(r, fn, arg_calls)
-                    if tgt is not None:
-                        witness = tainted[tgt]
-                        via = f"call '{cname}(...)'"
-                    else:
-                        for aid in arg_ids:
-                            if aid in local_taint:
-                                witness = local_taint[aid]
-                                via = f"'{aid}'"
-                                break
-                    if witness is None:
-                        continue
-                    seen.add((rel, line, col, skind))
-                    if skind == "schedule":
-                        msg = (f"tainted value reaches event scheduling via "
-                               f"{via} in '{sname}(...)'; event timestamps "
-                               "must derive from SimTime only")
-                    elif skind == "seedassign":
-                        msg = (f"seed '{sname}' is assigned a tainted value "
-                               f"via {via}; seeds must come from the "
-                               "experiment spec")
-                    else:
-                        msg = (f"tainted value reaches '{sname}(...)' via "
-                               f"{via}; seeds must come from the experiment "
-                               "spec")
-                    emit(rel, line, col, "HIB020", msg,
-                         witness + [[rel, line, col, "sink here"]])
-
-            # The src/sim blanket sink: any call to a tainted function from
-            # the simulator core is a determinism leak even without a
-            # recognised timestamp/seed shape.
-            if rel.startswith("src/sim/"):
-                for call in fn.get("calls", []):
-                    cname, recv, qual, line, col = call[:5]
-                    for tgt in resolve(r, fn, cname, recv, qual):
-                        if tgt in tainted and (rel, line, col, "sim") not in seen:
-                            seen.add((rel, line, col, "sim"))
-                            emit(rel, line, col, "HIB020",
-                                 f"'{cname}(...)' returns a wall-clock/"
-                                 "randomness-derived value inside src/sim; "
-                                 "the simulator core must be replayable",
-                                 tainted[tgt] + [[rel, line, col, "sink here"]])
-                            break
-
-    # ================== v4: shard escape & declared contracts ==============
-    aliases = index["aliases"]
-
-    def words(tstr):
-        return re.findall(r"[A-Za-z_]\w*", tstr or "")
-
-    # Shard-owned types: the baked-in universe set plus every class that
-    # carries HIB_SHARD_LOCAL.
-    shard_types = set(SHARD_OWNED_TYPES)
-    statics_types = []  # (rel, line, name, type_str) for every mutable static
-    for r in results:
-        for cls in r["classes"]:
-            if cls.get("shard_local") and cls.get("name"):
-                shard_types.add(cls["name"])
-        for d in r.get("static_decls", []):
-            statics_types.append((r["rel"], d["line"], d["name"], d["type"]))
-
-    def value_type(r, fn, name):
-        for p in fn.get("params", []):
-            if len(p) >= 2 and p[1] == name:
-                return resolve_alias(p[0], aliases)
-        return resolve_alias(resolve_type(name, r, index), aliases)
-
-    def shard_owned(tstr):
-        return any(w in shard_types for w in words(tstr))
 
     def is_handle_in(r, fn, name):
         for p in fn.get("params", []):
             if len(p) >= 2 and p[1] == name:
                 return "PoolHandle" in (p[0] or "")
         return "PoolHandle" in (r["locals"].get(name) or "")
-
-    # Annotation union per node: the header declaration and the out-of-line
-    # definition may carry different subsets; either one binds the contract.
-    node_ann = {}
-    for key in sorted(nodes):
-        anns = []
-        for r, fn in nodes[key]["defs"]:
-            anns.extend(fn.get("annotations", []))
-        if anns:
-            node_ann[key] = anns
-
-    def ann_of(key, macro):
-        return [a for a in node_ann.get(key, []) if a[0] == macro]
-
-    # ---- HIB022: shard-owned state escaping the shard run ----
-    parents = _reach(SHARD_ROOTS, graph)
-    member_stores = {}  # (owner_class, field) -> first store site
-    seen = set()
-    for key in sorted(parents):
-        for r, fn in nodes[key]["defs"]:
-            rel = r["rel"]
-            if rel.startswith(INTERPROC_EXEMPT_PREFIXES):
-                continue
-            static_names = {s[0] for s in fn.get("static_refs", [])}
-            mc = key[0]
-            members = index["class_members"].get(mc, {}) if mc else {}
-            for chain, src, line, col in fn.get("addr_stores", []):
-                t = mc if src == "this" else value_type(r, fn, src)
-                if not shard_owned(t):
-                    continue
-                base = chain[0]
-                if base in static_names:
-                    if (rel, line, col) in seen:
-                        continue
-                    seen.add((rel, line, col))
-                    steps, root = _chain(key, parents, graph,
-                                         "shard entry point")
-                    steps.append([rel, line, col,
-                                  f"address of shard-owned '{src}' stored "
-                                  f"into static '{'.'.join(chain)}' here"])
-                    emit(rel, line, col, "HIB022",
-                         f"address of shard-owned '{src}' escapes into static "
-                         f"'{'.'.join(chain)}' (reachable from shard entry "
-                         f"point '{_node_name(root)}'); shard state must die "
-                         "with the shard run — communicate through the "
-                         "harness merge instead", steps)
-                elif mc and (base == "this" or base in members):
-                    member_stores.setdefault(
-                        (mc, chain[-1]), (key, rel, chain, src, line, col))
-
-    # Field-sensitive second step: a member store only escapes if some
-    # static-duration object keeps the owning class alive across shard runs.
-    for (owner, field), (key, rel, chain, src, line, col) \
-            in sorted(member_stores.items()):
-        if (rel, line, col) in seen:
-            continue
-        holder = next(((srel, sline, sname, stype)
-                       for srel, sline, sname, stype in sorted(statics_types)
-                       if owner in words(stype)), None)
-        if holder is None:
-            continue
-        seen.add((rel, line, col))
-        srel, sline, sname, _stype = holder
-        steps, root = _chain(key, parents, graph, "shard entry point")
-        steps.append([rel, line, col,
-                      f"address of shard-owned '{src}' stored into member "
-                      f"'{owner}::{field}' here"])
-        steps.append([srel, sline, 1,
-                      f"static '{sname}' keeps a '{owner}' alive across "
-                      "shard runs"])
-        emit(rel, line, col, "HIB022",
-             f"address of shard-owned '{src}' escapes via member "
-             f"'{owner}::{field}': static '{sname}' ({srel}:{sline}) holds a "
-             f"'{owner}' that outlives the shard run — shard state must die "
-             "with its shard", steps)
 
     # ---- HIB023(b): pool slot released before the scheduled event fires ----
     # Fixpoint: which functions release one of their own handle parameters
@@ -2638,9 +1993,9 @@ def interprocedural_checks(results, index):
     for ckey in sorted(nodes):
         for r, fn in nodes[ckey]["defs"]:
             rel = r["rel"]
-            if rel.startswith(INTERPROC_EXEMPT_PREFIXES):
+            if rel.startswith(LIBRARY_EXEMPT_PREFIXES):
                 continue
-            for sname, val_ids, _refs, _refall, _this, sline, scol, end_line \
+            for _sink, val_ids, sline, scol, end_line \
                     in fn.get("sched_lambdas", []):
                 for h in [v for v in val_ids if is_handle_in(r, fn, v)]:
                     fired = False
@@ -2691,90 +2046,6 @@ def interprocedural_checks(results, index):
                              steps)
                         break
 
-    # ---- HIB024: declared contracts must hold at every call site ----
-    def establishes_ctx(key):
-        if ann_of(key, "HIB_THREAD_CONTEXT"):
-            return True  # annotated callers carry the contract outward
-        return any(fn.get("ctx_establish")
-                   for _r, fn in nodes[key]["defs"])
-
-    seen = set()
-    for ckey in sorted(nodes):
-        if establishes_ctx(ckey):
-            continue
-        for tgt, site in graph["edges"].get(ckey, []):
-            req = ann_of(tgt, "HIB_THREAD_CONTEXT")
-            if not req:
-                continue
-            srel, sline, scol, _scallee = site
-            if srel.startswith(INTERPROC_EXEMPT_PREFIXES) \
-                    or (srel, sline, scol) in seen:
-                continue
-            seen.add((srel, sline, scol))
-            ctx = req[0][1][0] if req[0][1] else "the shard context"
-            if ckey in parents:
-                steps, _root = _chain(ckey, parents, graph,
-                                      "shard entry point")
-            else:
-                cr, cfn = nodes[ckey]["defs"][0]
-                steps = [[cr["rel"], cfn["line"], 1,
-                          f"caller '{_node_name(ckey)}' defined here (no "
-                          "HIB_THREAD_CONTEXT, no ThreadContextScope)"]]
-            dr, dfn = nodes[tgt]["defs"][0]
-            steps.append([srel, sline, scol,
-                          f"'{_node_name(ckey)}' calls '{_node_name(tgt)}' "
-                          "here without establishing the context"])
-            steps.append([dr["rel"], dfn["line"], 1,
-                          f"'{_node_name(tgt)}' declares "
-                          f"HIB_THREAD_CONTEXT({ctx}) here"])
-            emit(srel, sline, scol, "HIB024",
-                 f"'{_node_name(tgt)}' requires thread context '{ctx}', but "
-                 f"caller '{_node_name(ckey)}' neither declares the same "
-                 "contract nor establishes it (ThreadContextScope / "
-                 ".Acquire()) before the call", steps)
-
-    for ckey in sorted(nodes):
-        own_live = {arg for a in ann_of(ckey, "HIB_REQUIRES_LIVE")
-                    for arg in a[1]}
-        for r, fn in nodes[ckey]["defs"]:
-            rel = r["rel"]
-            if rel.startswith(INTERPROC_EXEMPT_PREFIXES):
-                continue
-            acquired = set()
-            for lhs, rhs_calls, _rhs_ids, _al, _ac in fn.get("assigns", []):
-                if any(c.startswith("Acquire") for c in rhs_calls):
-                    acquired.add(lhs)
-            checked = {lc[0] for lc in fn.get("live_checks", [])}
-            for call in fn.get("calls", []):
-                cname, recv, qual, cline, ccol = call[:5]
-                args = call[5] if len(call) > 5 else []
-                if not args:
-                    continue
-                tgt = next((t for t in resolve(r, fn, cname, recv, qual)
-                            if ann_of(t, "HIB_REQUIRES_LIVE")), None)
-                if tgt is None:
-                    continue
-                for h in args:
-                    if not is_handle_in(r, fn, h) or h in acquired \
-                            or h in checked or h in own_live:
-                        continue
-                    if (rel, cline, ccol) in seen:
-                        continue
-                    seen.add((rel, cline, ccol))
-                    dr, dfn = nodes[tgt]["defs"][0]
-                    emit(rel, cline, ccol, "HIB024",
-                         f"'{_node_name(tgt)}' declares HIB_REQUIRES_LIVE on "
-                         f"its handle parameter, but caller "
-                         f"'{_node_name(ckey)}' passes '{h}' without "
-                         "acquiring it, IsLive-checking it, or declaring "
-                         "HIB_REQUIRES_LIVE on its own signature",
-                         [[rel, cline, ccol,
-                           f"'{h}' passed to '{_node_name(tgt)}' here"],
-                          [dr["rel"], dfn["line"], 1,
-                           f"'{_node_name(tgt)}' declares HIB_REQUIRES_LIVE "
-                           "here"]])
-                    break
-
 
 # ============================ suppression filtering =========================
 
@@ -2782,8 +2053,7 @@ def interprocedural_checks(results, index):
 # subset (--partial, used by tools/precommit.sh) cannot prove that a NOLINT
 # for one of these is stale: the root that makes it fire may simply not be in
 # the scanned set.
-INTERPROC_RULES = frozenset(
-    {"HIB018", "HIB019", "HIB020", "HIB022", "HIB023", "HIB024"})
+INTERPROC_RULES = frozenset({"HIB018", "HIB023"})
 
 
 def apply_suppressions(results, partial=False):
@@ -2796,26 +2066,15 @@ def apply_suppressions(results, partial=False):
         sups = r["suppressions"]
         by_line = {}
         for s in sups:
-            s["used"] = False  # results may come from the cache, reset state
             by_line.setdefault(s["target_line"], []).append(s)
-        # v4: when the interprocedural HIB018 confirms an allocation the
-        # syntactic HIB017 also flagged, only the HIB018 finding survives —
-        # it carries the witness chain, and two findings on one line are
-        # noise.  (Suppressions are still matched first, so a NOLINT(HIB017)
-        # on such a line stays "used" rather than going stale.)
-        hib018_lines = {f[0] for f in r.get("xfindings", [])
-                        if f[2] == "HIB018"}
-        for line, col, rule, msg, fix, flow in \
-                list(r["findings"]) + list(r.get("xfindings", [])):
+        for line, col, rule, msg, flow in r["findings"]:
             suppressed = False
             for s in by_line.get(line, []):
                 if rule in s["rules"]:
                     s["used"] = True
                     suppressed = True
-            if rule == "HIB017" and line in hib018_lines:
-                continue  # subsumed by the interprocedural tier
             if not suppressed:
-                final.append(Finding(rel, line, rule, msg, col, fix, flow))
+                final.append(Finding(rel, line, rule, msg, col, flow))
         for s in sups:
             if not s["used"]:
                 if partial and set(s["rules"]) & INTERPROC_RULES:
@@ -2896,87 +2155,6 @@ def write_sarif(path, findings, files_scanned):
         fh.write("\n")
 
 
-# ============================ --fix =========================================
-
-CONVERSION_FIXES = [
-    # to-seconds family only: the rewrites below keep the expression a raw
-    # double (no .value() escapes) and route the scale through units.h.
-    (re.compile(r"\b([A-Za-z_]\w*_ms)\s*/\s*1000(?:\.0+)?(?![\w.])"),
-     r"ToSeconds(Ms(\1))"),
-    (re.compile(r"\b([A-Za-z_]\w*_hours)\s*\*\s*3600(?:\.0+)?(?![\w.])"),
-     r"ToSeconds(Hours(\1))"),
-]
-
-
-def apply_fixes(findings):
-    """Applies the mechanical fixes (HIB001 guards, HIB009 to-seconds
-    conversions).  Returns (num_fixed, set_of_fixed_finding_keys)."""
-    by_file = {}
-    for f in findings:
-        if f.fix is not None:
-            by_file.setdefault(f.path, []).append(f)
-    fixed = set()
-    for relp, flist in by_file.items():
-        path = os.path.join(REPO_ROOT, relp) if not os.path.isabs(relp) else relp
-        if not os.path.exists(path):
-            path = relp
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines(keepends=True)
-        except OSError:
-            continue
-        changed = False
-        for f in sorted(flist, key=lambda x: -x.line):
-            kind = f.fix[0]
-            if kind == "guard_rename":
-                old, want = f.fix[1], f.fix[2]
-                pat = re.compile(r"\b" + re.escape(old) + r"\b")
-                hits = 0
-                for i, ln in enumerate(lines):
-                    if pat.search(ln) and re.match(r"\s*#\s*(ifndef|define|endif)|.*//",
-                                                   ln):
-                        lines[i] = pat.sub(want, ln)
-                        hits += 1
-                if hits:
-                    changed = True
-                    fixed.add(f.key())
-            elif kind == "guard_add_define":
-                want, ifndef_line = f.fix[1], f.fix[2]
-                idx = min(ifndef_line, len(lines))
-                lines.insert(idx, f"#define {want}\n")
-                changed = True
-                fixed.add(f.key())
-            elif kind == "guard_insert":
-                want = f.fix[1]
-                insert_at = 0
-                for i, ln in enumerate(lines):
-                    s = ln.strip()
-                    if s.startswith("//") or not s:
-                        insert_at = i + 1
-                    else:
-                        break
-                lines.insert(insert_at, f"#ifndef {want}\n#define {want}\n\n")
-                if lines and not lines[-1].endswith("\n"):
-                    lines[-1] += "\n"
-                lines.append(f"\n#endif  // {want}\n")
-                changed = True
-                fixed.add(f.key())
-            elif kind == "conversion":
-                i = f.line - 1
-                if 0 <= i < len(lines):
-                    new = lines[i]
-                    for pat, repl in CONVERSION_FIXES:
-                        new = pat.sub(repl, new)
-                    if new != lines[i]:
-                        lines[i] = new
-                        changed = True
-                        fixed.add(f.key())
-        if changed:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("".join(lines))
-    return len(fixed), fixed
-
-
 # ============================ driver ========================================
 
 def gather_files(paths):
@@ -2996,84 +2174,16 @@ def gather_files(paths):
     return files
 
 
-# --- incremental cache ------------------------------------------------------
-# Per-file analysis results keyed by content hash + engine version.  Only the
-# pure per-file model is cached (findings, suppressions, declarations, facts);
-# cross-file and interprocedural conclusions (xfindings) are recomputed every
-# run, so a cached file still picks up verdict changes caused by *other*
-# files changing.
-
-DEFAULT_CACHE = os.path.join(REPO_ROOT, ".simlint-cache.json")
-
-
-def load_cache(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cache = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {"version": SIMLINT_VERSION, "files": {}}
-    if cache.get("version") != SIMLINT_VERSION:
-        return {"version": SIMLINT_VERSION, "files": {}}
-    cache.setdefault("files", {})
-    return cache
-
-
-def save_cache(path, cache):
-    # Prune entries whose file no longer exists (tmp fixtures, renames).
-    cache["files"] = {
-        rel: entry for rel, entry in cache["files"].items()
-        if os.path.exists(os.path.join(REPO_ROOT, rel)) or os.path.exists(rel)
-    }
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-    except OSError:
-        pass  # caching is best-effort; never fail the lint over it
-
-
-def run_analysis(files, jobs, cache_path=None, partial=False):
-    cache = load_cache(cache_path) if cache_path else None
-    hashes = {}
-    todo = []
-    results_by_path = {}
-    for path in files:
-        try:
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-        except OSError:
-            digest = None
-        hashes[path] = digest
-        rel = rel_path(path)
-        entry = cache["files"].get(rel) if (cache and digest) else None
-        if entry and entry.get("hash") == digest:
-            results_by_path[path] = entry["result"]
-        else:
-            todo.append(path)
-
-    if jobs > 1 and len(todo) > 8:
+def run_analysis(files, jobs, partial=False):
+    if jobs > 1 and len(files) > 8:
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(pool.map(analyze_file, todo, chunksize=4))
+                results = list(pool.map(analyze_file, files, chunksize=4))
         except (OSError, concurrent.futures.process.BrokenProcessPool):
-            fresh = [analyze_file(p) for p in todo]
+            results = [analyze_file(p) for p in files]
     else:
-        fresh = [analyze_file(p) for p in todo]
-    for path, res in zip(todo, fresh):
-        results_by_path[path] = res
+        results = [analyze_file(p) for p in files]
 
-    results = [results_by_path[p] for p in files]
-    if cache is not None:
-        for path in todo:
-            digest = hashes.get(path)
-            res = results_by_path[path]
-            if digest and not res.get("error"):
-                cache["files"][res["rel"]] = {"hash": digest, "result": res}
-        save_cache(cache_path, cache)
-
-    for r in results:
-        r["xfindings"] = []
     index = build_index(results)
     cross_file_checks(results, index)
     interprocedural_checks(results, index)
@@ -3083,40 +2193,17 @@ def run_analysis(files, jobs, cache_path=None, partial=False):
 # --- --explain ---------------------------------------------------------------
 
 EXPLAIN = {
-    "HIB017": (
+    "HIB018": (
         "The dispatch hot path (src/array, src/sim) is allocation-free by "
         "design: requests live in SlotPool slots, scratch state in SmallVector "
-        "inline storage.  A make_shared or new expression there reintroduces "
-        "per-request heap traffic — the exact regression the pooling work "
-        "removed.  HIB017 is the fast syntactic tier: it only sees the "
-        "allocation's own file.  Its interprocedural big sibling is HIB018.",
-        "bad_hot_alloc.cc"),
-    "HIB018": (
-        "A hot-path function calling an allocating helper in another file is "
-        "invisible to the syntactic HIB017.  HIB018 closes that gap: it walks "
+        "inline storage.  A hot-path function calling an allocating helper in "
+        "another file reintroduces per-request heap traffic.  HIB018 walks "
         "the cross-TU call graph from the dispatch roots "
         "(ArrayController::Submit, Disk::Submit, EventQueue::FireNext) and "
         "flags every reachable allocation — new, make_shared/make_unique, and "
         "push_back growth of a std::vector member no reserve() ever sizes.  "
         "Each finding carries the full call chain as its witness.",
         "interproc/alloc_helper.cc"),
-    "HIB019": (
-        "RunAll / FleetSimulator shards must produce bit-identical results "
-        "regardless of worker count or scheduling.  Any mutable static or "
-        "singleton state reachable from a shard entry point breaks that: even "
-        "an atomic counter makes results depend on thread interleaving.  "
-        "Shards may only communicate through the deterministic merge in "
-        "src/harness/parallel.h; HIB019 walks the call graph from the shard "
-        "entry points and flags every touch of static state outside it.",
-        "interproc/shard_static.cc"),
-    "HIB020": (
-        "HIB013 flags a wall-clock or randomness *source* in the file that "
-        "reads it, but the damage happens where the value lands: an event "
-        "timestamp, a PRNG seed, or anything inside src/sim.  HIB020 tracks "
-        "taint through returns and locals across translation units and "
-        "reports the source-to-sink path, so a time() hidden behind two "
-        "helpers still cannot reach ScheduleAt.",
-        "interproc/taint_sink.cc"),
     "HIB021": (
         "SlotPool generations mean a released handle may refer to a "
         "recycled slot: Get() after Release() is a use-after-free with extra "
@@ -3126,17 +2213,6 @@ EXPLAIN = {
         "flags any use lexically after Release(handle) on the same path "
         "(reassignment or leaving the releasing scope clears the state).",
         "bad_handle_reuse.cc"),
-    "HIB022": (
-        "A Simulator (and everything inside it — EventQueue, SlotPool, "
-        "MetricsRegistry, Tracer) is one shard's universe: it is built, run "
-        "and destroyed inside one RunAll / FleetSimulator worker slot.  The "
-        "moment its address is stored anywhere that outlives the run — a "
-        "mutable static directly, or (field-sensitively) a member of a class "
-        "some static keeps alive — the next shard, or the merge thread, can "
-        "reach freed or foreign-shard state.  HIB022 tracks address-of "
-        "stores in shard-reachable code; HIB_SHARD_LOCAL on a class opts it "
-        "into the shard-owned set.",
-        "bad_shard_escape.cc"),
     "HIB023": (
         "The event queue outlives every stack frame that schedules into it.  "
         "A closure that captures a local or parameter by reference therefore "
@@ -3148,25 +2224,13 @@ EXPLAIN = {
         "shape is [this, h] by value with Release as the last statement "
         "*inside* the callback.",
         "bad_callback_lifetime.cc"),
-    "HIB024": (
-        "HIB_THREAD_CONTEXT(ctx) and HIB_REQUIRES_LIVE(handle) are contracts "
-        "clang's -Wthread-safety enforces under -DHIB_THREAD_SAFETY=ON — but "
-        "only under clang.  HIB024 makes them portable: every caller of a "
-        "context-requiring function must declare the same context or "
-        "establish it (ThreadContextScope / .Acquire()), and every caller of "
-        "a HIB_REQUIRES_LIVE function must have acquired the handle, "
-        "IsLive-checked it, or declared the same contract on its own "
-        "signature.  Findings carry root-first witness chains: entry point "
-        "-> call path -> unguarded call -> contract declaration.",
-        "bad_contract.cc"),
     "HIB025": (
         "The repo's layer DAG — util <- obs/trace <- sim <- disk <- "
         "queueing <- array <- policy <- hibernator <- harness — is what "
-        "keeps shard-owned state (HIB022) and contracts (HIB024) auditable: "
-        "a lower layer reaching up can smuggle references across subsystem "
-        "boundaries no local analysis will see.  HIB025 checks every "
-        '#include "src/<layer>/..." edge against the DAG; it is per-file and '
-        "cached, so it costs nothing warm.",
+        "keeps shard-owned state auditable: a lower layer reaching up can "
+        "smuggle references across subsystem boundaries no local analysis "
+        "will see.  HIB025 checks every "
+        '#include "src/<layer>/..." edge against the DAG, one file at a time.',
         "layering/disk/bad_layering.cc"),
     "HIB026": (
         "The compiled trace format (HIBT) is validated in exactly one place: "
@@ -3226,16 +2290,8 @@ def main(argv):
                              "minimal repro, then exit")
     parser.add_argument("--sarif", metavar="FILE",
                         help="write findings as SARIF 2.1.0 to FILE")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes (HIB001 guards, HIB009 "
-                             "to-seconds conversions), then report the rest")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="parallel worker processes (default: cpu count)")
-    parser.add_argument("--cache", metavar="FILE", default=DEFAULT_CACHE,
-                        help="incremental cache file "
-                             "(default: <repo>/.simlint-cache.json)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache")
     parser.add_argument("--partial", action="store_true",
                         help="the paths are a subset of the tree (pre-commit "
                              "hook): skip HIB099 staleness for suppressions "
@@ -3258,18 +2314,7 @@ def main(argv):
         os.chdir(REPO_ROOT)
         paths = DEFAULT_PATHS
     files = gather_files(paths)
-    cache_path = None if args.no_cache else args.cache
-    findings = run_analysis(files, max(1, args.jobs), cache_path, args.partial)
-
-    if args.fix:
-        num_fixed, fixed_keys = apply_fixes(findings)
-        if num_fixed:
-            print(f"simlint: fixed {num_fixed} finding(s); re-checking", file=sys.stderr)
-            findings = run_analysis(files, max(1, args.jobs), cache_path,
-                                    args.partial)
-        else:
-            print("simlint: nothing fixable", file=sys.stderr)
-
+    findings = run_analysis(files, max(1, args.jobs), args.partial)
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     for finding in findings:
         print(finding.render())

@@ -6,9 +6,13 @@
 namespace hib {
 
 struct CleanParams {
-  double lambda_per_ms = 0.0;              // rates are exempt from HIB004
-  double legacy_budget_ms = 0.0;           // simlint: allow(HIB004)
+  double lambda_per_ms = 0.0;
+  double budget_seconds = 0.0;
 };
+
+inline double LegacyBudgetMs(const CleanParams& p) {
+  return p.budget_seconds * 1000.0;  // simlint: allow(HIB009)
+}
 
 }  // namespace hib
 
