@@ -6,21 +6,19 @@
 
 namespace hib {
 
-EventId Simulator::ScheduleIn(Duration delay, EventCallback cb) {
+void Simulator::ScheduleIn(Duration delay, EventCallback cb) {
   if (delay < Duration{}) {
     delay = Duration{};
   }
-  return queue_.Schedule(now_ + delay, std::move(cb));
+  queue_.Schedule(now_ + delay, std::move(cb));
 }
 
-EventId Simulator::ScheduleAt(SimTime when, EventCallback cb) {
+void Simulator::ScheduleAt(SimTime when, EventCallback cb) {
   if (when < now_) {
     when = now_;
   }
-  return queue_.Schedule(when, std::move(cb));
+  queue_.Schedule(when, std::move(cb));
 }
-
-bool Simulator::Cancel(EventId id) { return queue_.Cancel(id); }
 
 Simulator::PeriodicHandle Simulator::SchedulePeriodic(SimTime start, Duration period,
                                                       EventCallback cb) {

@@ -36,13 +36,10 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   // Schedules `cb` to run `delay` ms from now (delay < 0 clamps to 0).
-  EventId ScheduleIn(Duration delay, EventCallback cb);
+  void ScheduleIn(Duration delay, EventCallback cb);
 
   // Schedules `cb` at the absolute time `when` (past times clamp to now).
-  EventId ScheduleAt(SimTime when, EventCallback cb);
-
-  // Cancels a pending event; returns false if it already fired.
-  bool Cancel(EventId id);
+  void ScheduleAt(SimTime when, EventCallback cb);
 
   // Capacity hint: pre-sizes the event queue for roughly `events` concurrently
   // pending events (see EventQueue::Reserve).

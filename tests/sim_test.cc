@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -19,10 +20,12 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.Schedule(Ms(30.0), [&] { fired.push_back(3); });
   q.Schedule(Ms(10.0), [&] { fired.push_back(1); });
   q.Schedule(Ms(20.0), [&] { fired.push_back(2); });
+  SimTime now;
   while (!q.empty()) {
-    q.PopNext().callback();
+    q.FireNext(&now);
   }
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(now.value(), 30.0);
 }
 
 TEST(EventQueue, TiesBreakByInsertionOrder) {
@@ -31,95 +34,33 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.Schedule(Ms(5.0), [&fired, i] { fired.push_back(i); });
   }
+  SimTime now;
   while (!q.empty()) {
-    q.PopNext().callback();
+    q.FireNext(&now);
   }
+  ASSERT_EQ(fired.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
   }
 }
 
-TEST(EventQueue, CancelPreventsFiring) {
-  EventQueue q;
-  bool fired = false;
-  EventId id = q.Schedule(Ms(1.0), [&] { fired = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelTwiceFails) {
-  EventQueue q;
-  EventId id = q.Schedule(Ms(1.0), [] {});
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(id));
-}
-
-TEST(EventQueue, CancelAfterFireFails) {
-  EventQueue q;
-  EventId id = q.Schedule(Ms(1.0), [] {});
-  q.PopNext().callback();
-  EXPECT_FALSE(q.Cancel(id));
-}
-
-TEST(EventQueue, CancelUnknownIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.Cancel(9999));
-}
-
-TEST(EventQueue, CancelMiddleKeepsOthers) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.Schedule(Ms(1.0), [&] { fired.push_back(1); });
-  EventId mid = q.Schedule(Ms(2.0), [&] { fired.push_back(2); });
-  q.Schedule(Ms(3.0), [&] { fired.push_back(3); });
-  q.Cancel(mid);
-  EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) {
-    q.PopNext().callback();
-  }
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, NextTimeSkipsCancelledHead) {
-  EventQueue q;
-  EventId head = q.Schedule(Ms(1.0), [] {});
-  q.Schedule(Ms(2.0), [] {});
-  q.Cancel(head);
-  EXPECT_DOUBLE_EQ(q.NextTime().value(), 2.0);
-}
-
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
   EXPECT_EQ(q.size(), 0u);
-  EventId a = q.Schedule(Ms(1.0), [] {});
+  q.Schedule(Ms(1.0), [] {});
   q.Schedule(Ms(2.0), [] {});
   EXPECT_EQ(q.size(), 2u);
-  q.Cancel(a);
+  SimTime now;
+  q.FireNext(&now);
   EXPECT_EQ(q.size(), 1u);
-  q.PopNext();
+  q.FireNext(&now);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, StaleIdCannotCancelSlotReuse) {
-  EventQueue q;
-  EventId a = q.Schedule(Ms(5.0), [] {});
-  ASSERT_TRUE(q.Cancel(a));
-  // b reuses a's arena slot but carries a fresh generation; a's id is dead.
-  bool b_fired = false;
-  EventId b = q.Schedule(Ms(6.0), [&] { b_fired = true; });
-  EXPECT_FALSE(q.Cancel(a));
-  ASSERT_EQ(q.size(), 1u);
-  auto fired = q.PopNext();
-  EXPECT_EQ(fired.id, b);
-  fired.callback();
-  EXPECT_TRUE(b_fired);
-}
-
 TEST(EventQueue, ManyEqualTimestampsFireInInsertionOrder) {
-  // Large batch with only a handful of distinct timestamps: drives the whole
-  // backlog through the two-tier refill/sort machinery and checks that ties
-  // still resolve by insertion order end to end.
+  // Large batch with only a handful of distinct timestamps: every insert
+  // lands among equal keys, so ties must resolve by insertion order end to
+  // end even when the pending array is thousands of entries long.
   EventQueue q;
   const int kEvents = 6000;
   std::vector<int> fired;
@@ -143,27 +84,33 @@ TEST(EventQueue, ManyEqualTimestampsFireInInsertionOrder) {
 }
 
 // Differential test: the queue against a naive reference model (an unsorted
-// vector popped by linear min-scan), over ~100k randomized Schedule / Cancel /
-// PopNext ops.  Every pop must agree on time and payload; every cancel must
-// agree on its return value.  Batched phases push traffic through refills,
-// spills, the radix sort, and the stale-entry purge.
+// vector popped by linear min-scan on (time, seq)), over ~100k randomized
+// Schedule / FireNext ops.  Every fire must agree on time and payload.  Times
+// are quantized so exact ties are frequent, and every fifth callback schedules
+// a child at the current time from inside FireNext, which must fire after
+// every event already pending at that time (FIFO for nested same-time events).
 TEST(EventQueue, DifferentialAgainstNaiveReference) {
   struct RefEvent {
     SimTime time;
     std::uint64_t seq;
     int value;
-    EventId id;
   };
   EventQueue q;
   std::vector<RefEvent> ref;
   std::vector<int> got;
   std::uint64_t next_seq = 1;
+  SimTime now;
   Pcg32 rng(20260806);
 
-  auto schedule = [&](SimTime t) {
+  std::function<void(SimTime)> schedule = [&](SimTime t) {
     int value = static_cast<int>(next_seq);
-    EventId id = q.Schedule(t, [value, &got] { got.push_back(value); });
-    ref.push_back(RefEvent{t, next_seq++, value, id});
+    q.Schedule(t, [value, &got, &now, &schedule] {
+      got.push_back(value);
+      if (value % 5 == 0) {
+        schedule(now);
+      }
+    });
+    ref.push_back(RefEvent{t, next_seq++, value});
   };
   auto ref_min = [&]() {
     std::size_t best = 0;
@@ -175,51 +122,37 @@ TEST(EventQueue, DifferentialAgainstNaiveReference) {
     }
     return best;
   };
-  auto pop_both = [&]() {
+  auto fire_both = [&]() {
     ASSERT_FALSE(q.empty());
     std::size_t best = ref_min();
-    got.clear();
-    auto fired = q.PopNext();
-    fired.callback();
-    ASSERT_EQ(fired.time, ref[best].time);
-    ASSERT_EQ(got.size(), 1u);
-    ASSERT_EQ(got[0], ref[best].value);
+    RefEvent want = ref[best];
     ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(best));
+    got.clear();
+    ASSERT_EQ(q.NextTime(), want.time);
+    q.FireNext(&now);
+    ASSERT_EQ(now, want.time);
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(got[0], want.value);
   };
 
-  // Phase 1: random interleaving at a modest live depth.
+  // Phase 1: random interleaving at a modest pending depth.
   for (int op = 0; op < 60000; ++op) {
-    double r = rng.NextDouble();
-    if (ref.empty() || r < 0.42) {
-      // Quantized times produce frequent exact ties.
-      schedule(Ms(std::floor(rng.NextDouble() * 512.0)));
-    } else if (r < 0.55) {
-      std::size_t pick =
-          static_cast<std::size_t>(rng.NextDouble() * static_cast<double>(ref.size()));
-      pick = std::min(pick, ref.size() - 1);
-      ASSERT_TRUE(q.Cancel(ref[pick].id));
-      ASSERT_FALSE(q.Cancel(ref[pick].id));  // second cancel must fail
-      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (ref.empty() || rng.NextDouble() < 0.45) {
+      // Quantized times produce frequent exact ties.  Never schedule in the
+      // past, as the Simulator clamps.
+      schedule(now + Ms(std::floor(rng.NextDouble() * 512.0)));
     } else {
-      pop_both();
+      fire_both();
     }
     ASSERT_EQ(q.size(), ref.size());
   }
 
-  // Phase 2: a burst larger than any internal batch cap, a third cancelled,
-  // then a full drain.
+  // Phase 2: a 6000-event burst at 64 distinct times, then a full drain.
   for (int i = 0; i < 6000; ++i) {
-    schedule(Ms(std::floor(rng.NextDouble() * 64.0)));
-  }
-  for (int i = 0; i < 2000; ++i) {
-    std::size_t pick =
-        static_cast<std::size_t>(rng.NextDouble() * static_cast<double>(ref.size()));
-    pick = std::min(pick, ref.size() - 1);
-    ASSERT_TRUE(q.Cancel(ref[pick].id));
-    ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(pick));
+    schedule(now + Ms(std::floor(rng.NextDouble() * 64.0)));
   }
   while (!ref.empty()) {
-    pop_both();
+    fire_both();
   }
   EXPECT_TRUE(q.empty());
 }
@@ -282,15 +215,6 @@ TEST(Simulator, ScheduleAtPastClampsToNow) {
   sim.ScheduleAt(Ms(3.0), [&] { fired_at = sim.Now(); });
   sim.RunUntil();
   EXPECT_DOUBLE_EQ(fired_at.value(), 10.0);
-}
-
-TEST(Simulator, CancelStopsEvent) {
-  Simulator sim;
-  bool fired = false;
-  EventId id = sim.ScheduleIn(Ms(5.0), [&] { fired = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  sim.RunUntil(Ms(10.0));
-  EXPECT_FALSE(fired);
 }
 
 TEST(Simulator, PeriodicFiresAtPeriod) {

@@ -16,6 +16,8 @@ Covers:
   * the advertised rule set and the fixture set stay in sync;
   * suppression semantics: NOLINT silences the rule, a stale NOLINT is HIB099,
     clang-tidy NOLINTs are ignored;
+  * --partial: an interproc NOLINT whose root is outside the scanned subset
+    is not reported stale, while a full scan of the same subset reports it;
   * SARIF output is structurally sound and interproc findings carry codeFlows.
 
 Run from anywhere; registered in ctest as `simlint_selftest`.
@@ -24,6 +26,7 @@ Run from anywhere; registered in ctest as `simlint_selftest`.
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -229,6 +232,35 @@ def check_suppressions(failures):
             failures.append(f"wrong-rule NOLINT: expected [HIB005, HIB099], got {rules}")
 
 
+def check_partial(failures):
+    # A NOLINT for an interproc rule is proven live only by a scan that
+    # includes the root reaching it.  Scanned alone, the helper's suppression
+    # looks stale: a full scan must say so, --partial (the pre-commit subset
+    # scan) must not.
+    with tempfile.TemporaryDirectory(dir=HERE) as tmp:
+        with open(os.path.join(INTERPROC_DIR, "alloc_helper.cc"),
+                  encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[12] += "  // NOLINT(HIB018)"  # the line-13 new expression
+        helper = os.path.join(tmp, "alloc_helper.cc")
+        with open(helper, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        shutil.copy(os.path.join(INTERPROC_DIR, "hot_submit.cc"), tmp)
+
+        code, rules = run_simlint(tmp)
+        if rules != ["HIB018"]:
+            failures.append(f"partial: pair scan expected only the unsuppressed "
+                            f"HIB018, got {rules}")
+        code, rules = run_simlint(helper)
+        if code == 0 or rules != ["HIB099"]:
+            failures.append(f"partial: helper alone expected [HIB099], got "
+                            f"code={code} rules={rules}")
+        code, rules = run_simlint("--partial", helper)
+        if code != 0 or rules:
+            failures.append(f"partial: helper alone under --partial expected "
+                            f"clean, got code={code} rules={rules}")
+
+
 def check_sarif(failures):
     # SARIF must be structurally sound, and interproc findings must export
     # their witness chains as codeFlows so code scanning UIs can render the
@@ -296,6 +328,7 @@ def main():
     check_file_chains(failures)
     check_rule_sync(failures)
     check_suppressions(failures)
+    check_partial(failures)
     check_sarif(failures)
 
     if failures:
